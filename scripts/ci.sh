@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 tests + two fast benchmark smokes.
+# CI entry point: tier-1 tests, the perfbench trace-harness self-test, and
+# the benchmark smokes below.
 #
 #   scripts/ci.sh            # full tier-1 suite, then both benches
 #   scripts/ci.sh --fast     # -x fail-fast test run, same benches
@@ -107,6 +108,13 @@ echo "== tier-1 tests =="
 # Includes the service-layer suite (tests/test_service.py,
 # tests/test_fingerprints.py) via pytest.ini's testpaths.
 python -m pytest "${PYTEST_ARGS[@]}"
+
+echo "== perfbench trace-harness self-test =="
+# The benchmark's layer tracer wraps named entry points
+# (ExplanationHandler.do_POST, ExplanationService.explain/submit,
+# ExplainRequest.from_json, ...); its exact-count self-test fails when one
+# is renamed, instead of the traced run silently losing coverage.
+python -m pytest perfbench/tests -q
 
 echo "== scoring micro-benchmark (writes BENCH_scoring.json) =="
 python benchmarks/bench_micro.py --out BENCH_scoring.json

@@ -77,25 +77,23 @@ class Schema:
     """An ordered collection of :class:`Attribute` with unique names."""
 
     attributes: tuple[Attribute, ...]
+    #: Attribute names in schema order.
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False, hash=False)
     _by_name: Mapping[str, Attribute] = field(
         init=False, repr=False, compare=False, hash=False
     )
 
     def __post_init__(self) -> None:
-        names = [a.name for a in self.attributes]
+        names = tuple(a.name for a in self.attributes)
         if len(set(names)) != len(names):
             raise SchemaError("schema attribute names must be unique")
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "_by_name", {a.name: a for a in self.attributes})
 
     @classmethod
     def from_domains(cls, domains: Mapping[str, Sequence[str]]) -> "Schema":
         """Build a schema from a ``{name: domain}`` mapping (insertion order)."""
         return cls(tuple(Attribute(n, tuple(d)) for n, d in domains.items()))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Attribute names in schema order."""
-        return tuple(a.name for a in self.attributes)
 
     @property
     def width(self) -> int:

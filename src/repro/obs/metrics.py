@@ -39,12 +39,13 @@ import os
 import re
 import threading
 
-#: Default geometric bucket geometry — identical to the PR 7 ``_Stats``
-#: latency histograms: 100µs base, √2 growth (half-powers of two), 44
-#: buckets covering past 200s with one overflow bucket.
-DEFAULT_BASE = 1e-4
+#: Default geometric bucket geometry: 1µs base — below an in-process
+#: cache hit, so the fastest spans still land in distinct buckets — √2
+#: growth (half-powers of two), 58 buckets whose finite edges reach 268s
+#: (past 200s) with one overflow bucket.
+DEFAULT_BASE = 1e-6
 DEFAULT_GROWTH = 2.0 ** 0.5
-DEFAULT_BUCKETS = 44
+DEFAULT_BUCKETS = 58
 
 #: Histogram sums are stored as integers in units of ``1/SUM_SCALE`` (for
 #: duration histograms: nanoseconds).  Integer sums make snapshot merging

@@ -27,9 +27,12 @@ edge) unless the caller supplied one; it comes back in the envelope's
 one id follows a request from the edge through the frame protocol to a
 shard worker and back.
 
-``ThreadingHTTPServer`` gives one handler thread per connection; handlers
-just submit into the service, so concurrent posts still coalesce into
-batched engine calls.
+Every open connection has its own handler thread, but threads are reused:
+a connection goes to an idle handler thread, and a new thread starts only
+when none is idle (see :class:`ServiceHTTPServer`).  Handlers just submit
+into the service, so concurrent posts still coalesce into batched engine
+calls.  JSON responses are encoded once, compactly, by the stdlib's C
+encoder; pipe them through ``python -m json.tool`` to read them.
 
 .. warning:: **No authentication — localhost demo scope only.**
 
@@ -49,9 +52,11 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import queue
+import threading
 
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..obs.export import prometheus_text
@@ -62,7 +67,7 @@ from .service import ExplainRequest, PipelineRequest
 MAX_BODY_BYTES = 1_000_000
 
 
-class ServiceHTTPServer(ThreadingHTTPServer):
+class ServiceHTTPServer(HTTPServer):
     """An HTTP server bound to one service instance.
 
     ``service`` is anything exposing the handler surface — ``explain`` /
@@ -72,19 +77,83 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     :class:`~repro.service.frontend.ShardedService` facade; the routes are
     identical either way.
 
-    ``daemon_threads`` keeps in-flight handler threads from pinning the
-    process open after shutdown; ``allow_reuse_address`` (SO_REUSEADDR)
-    lets a restarted server rebind its port while the previous socket
-    lingers in TIME_WAIT — without it a quick stop/start cycle fails with
-    ``EADDRINUSE`` for up to a minute.
+    Connections are served by reused handler threads: :meth:`process_request`
+    hands each accepted connection to an idle handler thread and starts a
+    new one only when none is idle.  Concurrency is therefore still one
+    handler per open connection — a slow request never holds up another —
+    while a steady stream of requests runs on as many threads as were ever
+    open at once, instead of paying a thread start per connection.  A
+    handler rejoins the idle stack *before* it closes its connection, so a
+    client that waits for the close before connecting again finds it idle.
+    :meth:`server_close` releases and joins the idle threads; a busy one
+    exits when its connection finishes.  Handler threads are daemons, so
+    one stuck on a silent client cannot pin the process open.
+
+    ``allow_reuse_address`` (SO_REUSEADDR) lets a restarted server rebind
+    its port while the previous socket lingers in TIME_WAIT — without it a
+    quick stop/start cycle fails with ``EADDRINUSE`` for up to a minute.
     """
 
-    daemon_threads = True
     allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], service):
         super().__init__(address, ExplanationHandler)
         self.service = service
+        self._lock = threading.Lock()
+        # Idle handlers as (thread, inbox); the most recently idle is reused
+        # first.  Guarded by _lock, as is _closed.
+        self._idle: list[tuple[threading.Thread, queue.SimpleQueue]] = []
+        self._closed = False
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to an idle handler thread, or start one."""
+        with self._lock:
+            closed = self._closed
+            slot = self._idle.pop() if self._idle else None
+        if closed:
+            self.shutdown_request(request)
+            return
+        if slot is None:
+            inbox: queue.SimpleQueue = queue.SimpleQueue()
+            thread = threading.Thread(
+                target=self._handle_connections, args=(inbox,),
+                name="http-handler", daemon=True,
+            )
+            slot = (thread, inbox)
+            thread.start()
+        slot[1].put((request, client_address))
+
+    def _handle_connections(self, inbox: queue.SimpleQueue) -> None:
+        """A handler thread's loop: serve each connection it is handed."""
+        slot = (threading.current_thread(), inbox)
+        while True:
+            job = inbox.get()
+            if job is None:
+                return
+            request, client_address = job
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                with self._lock:
+                    closed = self._closed
+                    if not closed:
+                        self._idle.append(slot)
+                self.shutdown_request(request)
+            if closed:
+                return
+
+    def server_close(self) -> None:
+        """Close the socket and release the idle handler threads."""
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for _, inbox in idle:
+            inbox.put(None)
+        for thread, _ in idle:
+            thread.join()
 
 
 class ExplanationHandler(BaseHTTPRequestHandler):
@@ -96,7 +165,8 @@ class ExplanationHandler(BaseHTTPRequestHandler):
         pass
 
     def _send_json(self, code: int, body: dict) -> None:
-        data = (json.dumps(body, indent=2) + "\n").encode("utf-8")
+        # Compact separators and no indent keep json on its C encoder.
+        data = (json.dumps(body, separators=(",", ":")) + "\n").encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -169,14 +239,22 @@ class ExplanationHandler(BaseHTTPRequestHandler):
         try:
             if self.path not in ("/v1/explain", "/v1/pipeline"):
                 raise ServiceError(404, "not-found", f"no route for {self.path!r}")
-            length = int(self.headers.get("Content-Length") or 0)
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                raise ServiceError(
+                    400, "invalid-request", "Content-Length is not an integer"
+                ) from None
             if length <= 0:
                 raise ServiceError(400, "invalid-request", "missing JSON body")
             if length > MAX_BODY_BYTES:
                 raise ServiceError(400, "invalid-request", "body too large")
             try:
                 body = json.loads(self.rfile.read(length))
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError and UnicodeDecodeError
+                # (a body that is not UTF-8); RecursionError, nesting too
+                # deep for the decoder.
                 raise ServiceError(
                     400, "invalid-request", f"bad JSON: {exc}"
                 ) from None

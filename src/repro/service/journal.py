@@ -52,13 +52,24 @@ class LedgerStoreError(ValueError):
 
 
 def _fsync_write(path: str, data: str) -> None:
-    """Crash-safe whole-file write: temp file + fsync + atomic replace."""
+    """Crash-safe whole-file write: temp file + fsync + atomic replace.
+
+    The rename itself is durable only once the parent directory is
+    fsync'd.  Compaction renames the snapshot and then the journal; if
+    power failed with only the journal rename on disk, the records it
+    folded would be gone with the old snapshot still in place.
+    """
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 class TenantLedgerStore:

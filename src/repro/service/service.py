@@ -362,9 +362,9 @@ class _Stats:
     ``repro_request_duration_seconds{class=...}``.  One code path serves
     ``/v1/stats``, ``/metrics``, and cross-worker snapshot merging.
 
-    The latency geometry is unchanged from the pre-registry histograms:
-    geometric buckets from 100µs up, factor √2 (half-powers of two), 44
-    buckets covering past 200s — beyond every timeout in the service.
+    The latency geometry is the registry default: geometric buckets from
+    1µs up, factor √2 (half-powers of two), 58 buckets covering past 200s —
+    beyond every timeout in the service.
     """
 
     FIELDS = (

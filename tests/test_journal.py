@@ -200,6 +200,34 @@ class TestCompaction:
         assert reloaded.accountant("d").total_units() == 300_000_000
         assert [c.label for c in reloaded.accountant("d")] == ["a"]
 
+    def test_compaction_fsyncs_the_directory_after_each_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """Both renames are durable before compaction moves on: power loss
+        that kept only the journal rewrite would drop the folded charges."""
+        tenant, store = make_tenant(tmp_path)
+        tenant.accountant("d").spend(0.1, "c")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            target = os.fstat(fd)
+            is_dir = os.path.samestat(target, os.stat(tmp_path))
+            events.append("fsync-dir" if is_dir else "fsync-file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(f"replace {os.path.basename(dst)}")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store.compact(tenant.snapshot(), covered_seq=store.current_seq())
+        assert events == [
+            "fsync-file", "replace t.json", "fsync-dir",
+            "fsync-file", "replace t.journal", "fsync-dir",
+        ]
+
     def test_refund_after_compaction_finds_the_folded_charge(self, tmp_path):
         tenant, store = make_tenant(tmp_path)
         acc = tenant.accountant("d")

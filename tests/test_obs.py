@@ -37,6 +37,7 @@ from repro.obs import (
     DEFAULT_GROWTH,
     MetricsRegistry,
     SPANS,
+    bucket_upper_bound,
     histogram_quantile,
     merge,
     merge_snapshots,
@@ -97,6 +98,16 @@ class TestQuantiles:
         h.observe(1.0)
         assert 0.0005 < h.quantile(0.50) < 0.002
         assert 0.5 < h.quantile(0.999) < 2.0
+
+    def test_sub_100us_observation_resolves_below_100us(self):
+        """The floor sits below an in-process cache hit (~80µs)."""
+        h = MetricsRegistry().histogram("h_seconds", "h")
+        h.observe(50e-6)
+        assert 50e-6 <= h.quantile(0.5) < 100e-6
+
+    def test_default_range_reaches_past_200s(self):
+        top_finite = bucket_upper_bound(DEFAULT_BUCKETS - 2)
+        assert 200.0 < top_finite < 200.0 * DEFAULT_GROWTH
 
 
 # --------------------------------------------------------------------------- #

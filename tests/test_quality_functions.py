@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.counts import ClusteredCounts
 from repro.core.quality.diversity import (
     diversity_range,
@@ -35,6 +38,15 @@ from repro.core.quality.sufficiency import (
 from repro.dataset import Attribute, Dataset, Schema
 
 from helpers import CodeModuloClustering
+
+# Sums at the Weights tolerance edges 1 ± (1e-9 + 1e-5) and one ulp either
+# side, plus the non-finite and signed-zero specials.
+_SUM_TOL = 1e-9 + 1e-5
+_SUM_EDGES = tuple(
+    float(x)
+    for edge in (1.0 - _SUM_TOL, 1.0 + _SUM_TOL)
+    for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0))
+) + (float("nan"), float("inf"), float("-inf"), -0.0, 1.0)
 
 
 def two_cluster_dataset(rows_a: list[int], rows_grp: list[int]) -> ClusteredCounts:
@@ -239,6 +251,46 @@ class TestScores:
             Weights(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             Weights(-0.1, 0.6, 0.5)
+
+    @given(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(_SUM_EDGES),
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_weights_accept_exactly_what_np_isclose_did(self, a, b, c):
+        """The float test is numpy's ``isclose(sum, 1, atol=1e-9)``."""
+        for vals in ((a, b, c), (b, c, a), (a, 0.0, 0.0), (a, b, 1.0 - a - b)):
+            expected = not any(v < 0 for v in vals) and bool(
+                np.isclose(sum(vals), 1.0, atol=1e-9)
+            )
+            try:
+                Weights(*vals)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected, vals
+
+    def test_weights_sum_tolerance_edges(self):
+        def accepted(total):
+            try:
+                Weights(total, 0.0, 0.0)
+            except ValueError:
+                return False
+            return True
+
+        for total in _SUM_EDGES:
+            assert accepted(total) == bool(
+                total >= 0 and np.isclose(total, 1.0, atol=1e-9)
+            ), total
+        # Each one-ulp triple straddles the boundary on its side of 1.
+        assert {accepted(t) for t in _SUM_EDGES[:3]} == {True, False}
+        assert {accepted(t) for t in _SUM_EDGES[3:6]} == {True, False}
+        with pytest.raises(ValueError):
+            Weights(-0.0001, 0.5, 0.5001)
 
     def test_weights_table1_configs(self):
         assert Weights.without("int").lambda_int == 0.0
