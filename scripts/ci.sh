@@ -130,22 +130,6 @@ print(f"scoring speedup: {speedup:.1f}x (cold {result['speedup_cold']:.1f}x), "
       f"max rel diff {agree:.2e}")
 assert speedup >= 10.0, f"scoring speedup regressed below 10x: {speedup:.2f}x"
 assert agree < 1e-12, f"batched/scalar scoring disagree: {agree:.2e}"
-
-backend = result["backend"]
-fused = result["fused_kernel_speedup"]
-print(f"kernel backend: {backend}, fused/unfused speedup {fused:.2f}x")
-try:
-    import numba  # noqa: F401
-    have_numba = True
-except ImportError:
-    have_numba = False
-if not have_numba:
-    # The numpy fallback must be the path actually exercised when numba is
-    # not installed (REPRO_NUMBA set or not).
-    assert backend == "numpy", f"no numba installed but backend is {backend!r}"
-assert fused >= 0.9, (
-    f"fused kernel slower than composing unfused kernels: {fused:.2f}x"
-)
 EOF
 
 echo "== scale benchmark (merges 'scale' into BENCH_scoring.json) =="

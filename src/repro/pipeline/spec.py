@@ -40,6 +40,11 @@ handler thread (and its fit-stripe lock) or attempt a huge center
 allocation.  Both caps sit far above the paper's scales (|C| <= 8, T = 5)."""
 
 
+def _is_int(value) -> bool:
+    """True for an integer that is not a ``bool`` (JSON ``true`` is no count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ClusteringSpec:
     """One DP clustering run: method, parameters, and seed stream.
@@ -72,16 +77,16 @@ class ClusteringSpec:
                 f"unknown clustering method {self.method!r}; "
                 f"supported: {PIPELINE_METHODS}"
             )
-        if not isinstance(self.n_clusters, int) or self.n_clusters < 1:
+        if not _is_int(self.n_clusters) or self.n_clusters < 1:
             raise ValueError("n_clusters must be an integer >= 1")
         if self.n_clusters > MAX_CLUSTERS:
             raise ValueError(f"n_clusters must be <= {MAX_CLUSTERS}")
         check_epsilon(self.epsilon, name="clustering epsilon")
-        if not isinstance(self.n_iterations, int) or self.n_iterations < 1:
+        if not _is_int(self.n_iterations) or self.n_iterations < 1:
             raise ValueError("n_iterations must be an integer >= 1")
         if self.n_iterations > MAX_ITERATIONS:
             raise ValueError(f"n_iterations must be <= {MAX_ITERATIONS}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not _is_int(self.seed):
             raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")

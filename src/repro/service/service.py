@@ -31,6 +31,7 @@ requests from many tenants over registered datasets.  A request's lifecycle:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -51,6 +52,53 @@ from .queue import RequestQueue, run_worker
 from .registry import DatasetEntry, ServiceRegistry, ServiceError, Tenant
 
 _EXPLAINERS = ("DPClustX",)
+_FLOAT_FIELDS = ("eps_cand_set", "eps_top_comb", "eps_hist", "clustering_epsilon")
+
+
+def _json_fields(cls, body: Mapping) -> dict:
+    """Constructor kwargs of request class ``cls`` from a decoded JSON body.
+
+    Epsilons and weights are coerced to floats (a JSON ``1`` and ``1.0``
+    name the same release) and ``trace_id`` to a string.  Every other field
+    passes through as decoded, and ``validated()`` is the one place that
+    checks its type: an integer field carrying ``1.5`` or ``true`` is
+    refused there rather than silently truncated here.
+    """
+    if not isinstance(body, Mapping):
+        raise ServiceError(400, "invalid-request", "body must be a JSON object")
+    unknown = set(body) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ServiceError(
+            400, "invalid-request", f"unknown fields: {sorted(unknown)}"
+        )
+    for key in ("tenant", "dataset"):
+        if key not in body:
+            raise ServiceError(400, "invalid-request", f"{key!r} is required")
+    kwargs = dict(body)
+    try:
+        if "weights" in kwargs:
+            kwargs["weights"] = tuple(float(w) for w in kwargs["weights"])
+        for key in _FLOAT_FIELDS:
+            if key in kwargs:
+                kwargs[key] = float(kwargs[key])
+    except (TypeError, ValueError) as exc:
+        raise ServiceError(400, "invalid-request", str(exc)) from None
+    if "trace_id" in kwargs:
+        kwargs["trace_id"] = str(kwargs["trace_id"])
+    return kwargs
+
+
+def _require_finite_total(total: float) -> None:
+    """400 on an epsilon total that overflows to infinity.
+
+    Each epsilon is checked finite on its own, but two near-``float max``
+    terms still sum to ``inf``; such a request could never be funded and
+    its refusal would quote a non-JSON ``Infinity``.
+    """
+    if not math.isfinite(total):
+        raise ServiceError(
+            400, "invalid-request", f"total epsilon must be finite, got {total}"
+        )
 
 
 @dataclass(frozen=True)
@@ -90,32 +138,7 @@ class ExplainRequest:
     @classmethod
     def from_json(cls, body: Mapping) -> "ExplainRequest":
         """Build a request from a decoded JSON object (HTTP front end)."""
-        if not isinstance(body, Mapping):
-            raise ServiceError(400, "invalid-request", "body must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(body) - known
-        if unknown:
-            raise ServiceError(
-                400, "invalid-request", f"unknown fields: {sorted(unknown)}"
-            )
-        kwargs = dict(body)
-        try:
-            for key in ("tenant", "dataset"):
-                if key not in kwargs:
-                    raise ServiceError(400, "invalid-request", f"{key!r} is required")
-            if "weights" in kwargs:
-                kwargs["weights"] = tuple(float(w) for w in kwargs["weights"])
-            for key in ("eps_cand_set", "eps_top_comb", "eps_hist"):
-                if key in kwargs:
-                    kwargs[key] = float(kwargs[key])
-            for key in ("n_candidates", "seed"):
-                if key in kwargs:
-                    kwargs[key] = int(kwargs[key])
-            if "trace_id" in kwargs:
-                kwargs["trace_id"] = str(kwargs["trace_id"])
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(400, "invalid-request", str(exc)) from None
-        return cls(**kwargs)
+        return cls(**_json_fields(cls, body))
 
     def with_trace(self, trace_id: str) -> "ExplainRequest":
         """A copy carrying ``trace_id`` (same release identity)."""
@@ -164,10 +187,13 @@ class ExplainRequest:
             self.weights_obj()
         except (BudgetError, TypeError, ValueError) as exc:
             raise ServiceError(400, "invalid-request", str(exc)) from None
+        _require_finite_total(self.epsilon_total)
+        for key in ("n_candidates", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ServiceError(400, "invalid-request", f"{key} must be an integer")
         if self.n_candidates < 1:
             raise ServiceError(400, "invalid-request", "n_candidates must be >= 1")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ServiceError(400, "invalid-request", "seed must be an integer")
         if self.seed < 0:
             raise ServiceError(400, "invalid-request", "seed must be >= 0")
         if not isinstance(self.trace_id, str):
@@ -239,43 +265,7 @@ class PipelineRequest:
     @classmethod
     def from_json(cls, body: Mapping) -> "PipelineRequest":
         """Build a request from a decoded JSON object (HTTP front end)."""
-        if not isinstance(body, Mapping):
-            raise ServiceError(400, "invalid-request", "body must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(body) - known
-        if unknown:
-            raise ServiceError(
-                400, "invalid-request", f"unknown fields: {sorted(unknown)}"
-            )
-        kwargs = dict(body)
-        try:
-            for key in ("tenant", "dataset"):
-                if key not in kwargs:
-                    raise ServiceError(400, "invalid-request", f"{key!r} is required")
-            if "weights" in kwargs:
-                kwargs["weights"] = tuple(float(w) for w in kwargs["weights"])
-            for key in (
-                "eps_cand_set",
-                "eps_top_comb",
-                "eps_hist",
-                "clustering_epsilon",
-            ):
-                if key in kwargs:
-                    kwargs[key] = float(kwargs[key])
-            for key in (
-                "n_candidates",
-                "seed",
-                "n_clusters",
-                "n_iterations",
-                "clustering_seed",
-            ):
-                if key in kwargs:
-                    kwargs[key] = int(kwargs[key])
-            if "trace_id" in kwargs:
-                kwargs["trace_id"] = str(kwargs["trace_id"])
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(400, "invalid-request", str(exc)) from None
-        return cls(**kwargs)
+        return cls(**_json_fields(cls, body))
 
     def with_trace(self, trace_id: str) -> "PipelineRequest":
         """A copy carrying ``trace_id`` (same release identity)."""
@@ -312,7 +302,8 @@ class PipelineRequest:
             self.spec().validated()
         except (BudgetError, TypeError, ValueError) as exc:
             raise ServiceError(400, "invalid-request", str(exc)) from None
-        self.explain_request().validated()
+        explain = self.explain_request().validated()
+        _require_finite_total(self.clustering_epsilon + explain.epsilon_total)
         return self
 
 

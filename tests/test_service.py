@@ -132,6 +132,13 @@ class TestRequestValidation:
             {"weights": (0.25, 0.25, 0.25, 0.25)},  # wrong arity (JSON shape)
             {"weights": (0.5, 0.5)},
             {"weights": "uniform"},
+            # Integer fields must arrive as JSON integers, never truncated.
+            {"seed": 1.5},
+            {"seed": True},
+            {"n_candidates": 2.9},
+            {"n_clusters": 2.5},  # /v1/pipeline
+            {"n_clusters": True},  # /v1/pipeline
+            {"clustering_seed": 1.9},  # /v1/pipeline
         ],
     )
     def test_malformed_request_refused_without_burning_budget(
@@ -141,9 +148,25 @@ class TestRequestValidation:
         service = make_service(dataset, clustering)
         service.create_tenant("t", 1.0)
         fields = {"tenant": "t", "dataset": "diabetes", "seed": 0, **bad_fields}
-        envelope = service.explain(ExplainRequest(**fields))
+        # Pipeline-only fields go to the endpoint that owns them.
+        if fields.keys() <= ExplainRequest.__dataclass_fields__.keys():
+            request_cls, serve = ExplainRequest, service.explain
+        else:
+            request_cls, serve = PipelineRequest, service.pipeline
+        # In process: the request object as ServiceClient builds it.
+        envelope = serve(request_cls(**fields))
         assert envelope["status"] == "error"
         assert envelope["code"] == 400
+        # Over HTTP: the same fields as a decoded JSON body.  Decoding may
+        # refuse them itself; whatever it lets through must still 400.
+        try:
+            decoded = request_cls.from_json(fields)
+        except ServiceError as exc:
+            assert exc.code == 400
+        else:
+            envelope = serve(decoded)
+            assert envelope["status"] == "error"
+            assert envelope["code"] == 400
         assert service.registry.tenant("t").accountant("diabetes").total() == 0.0
 
 
@@ -1015,6 +1038,28 @@ class TestHTTP:
         assert exc.value.code == 429
         envelope = json.load(exc.value)
         assert envelope["error"]["reason"] == "budget-exhausted"
+
+    @pytest.mark.parametrize(
+        "path, fields",
+        [
+            ("/v1/explain", {"eps_cand_set": 1e308, "eps_top_comb": 1e308}),
+            ("/v1/pipeline", {"clustering_epsilon": 1e308, "eps_hist": 1e308}),
+        ],
+    )
+    def test_overflowing_epsilon_total_maps_to_400(self, server, path, fields):
+        """Finite epsilons summing to inf are refused as invalid, and the
+        body stays strict JSON (no bare ``Infinity`` token)."""
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            self._post(
+                server, path, {"tenant": "big", "dataset": "diabetes", **fields}
+            )
+        envelope = json.loads(exc.value.read(), parse_constant=reject)
+        assert exc.value.code == 400
+        assert envelope["error"]["reason"] == "invalid-request"
 
     def test_health_stats_and_404(self, server):
         assert self._get(server, "/healthz")[1]["status"] == "ok"
