@@ -23,6 +23,12 @@ Entry points:
 * ``pytest benchmarks/bench_pipeline.py`` — pytest-benchmark timings;
 * ``python benchmarks/bench_pipeline.py [--rows N --unique U --repeats R]``
   — standalone comparison emitting the ``BENCH_pipeline.json`` artifact.
+
+The artifact's ``fits`` section times the clustering substrate on its own:
+the median fit + ``assign`` of each server-fittable DP method, and
+``nearest_mode_speedup`` — the column-wise mismatch count against the
+``n x k x d`` broadcast oracle (labels must match exactly);
+``scripts/ci.sh`` gates that speedup at 2x.
 """
 
 from __future__ import annotations
@@ -32,16 +38,20 @@ import json
 import statistics
 import time
 
+import numpy as np
+
+from repro.clustering.base import nearest_mode
 from repro.core.counts import ClusteredCounts
 from repro.core.dpclustx import DPClustX
 from repro.experiments.common import load_dataset
-from repro.pipeline import ClusteringSpec
+from repro.pipeline import PIPELINE_METHODS, ClusteringSpec
 from repro.service import (
     ExplanationService,
     PipelineRequest,
     canonical_json,
     explanation_payload,
 )
+from repro.synth import census_like, diabetes_like
 
 from bench_common import BENCH_ROWS
 
@@ -180,6 +190,54 @@ def run_pipeline_bench(
     }
 
 
+def _nearest_mode_oracle(codes: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """Broadcast reference: the full n x k x d mismatch tensor."""
+    return np.argmin((codes[:, None, :] != modes[None]).sum(2), 1)
+
+
+def run_fit_bench(
+    n_rows: int = 20_000, n_clusters: int = 5, timing_repeats: int = 5
+) -> dict:
+    """Fit + assign per DP method, and nearest_mode vs its broadcast oracle."""
+    data = diabetes_like(n_rows=n_rows, seed=0)
+    fit_ms = {}
+    for method in PIPELINE_METHODS:
+        spec = ClusteringSpec(method, n_clusters, seed=0)
+        fit_ms[method] = 1e3 * _median_time(
+            lambda: spec.fit(data).assign(data), timing_repeats
+        )
+
+    rng = np.random.default_rng(0)
+    speedups, equal = {}, True
+    for name, make in (("diabetes", diabetes_like), ("census", census_like)):
+        dataset = make(n_rows=n_rows, seed=0)
+        columns = [dataset.column(a) for a in dataset.schema.names]
+        codes = np.stack(columns, axis=1)
+        for k in (3, 6):
+            modes = codes[rng.choice(n_rows, size=k, replace=False)]
+            equal &= bool(
+                np.array_equal(
+                    nearest_mode(columns, modes), _nearest_mode_oracle(codes, modes)
+                )
+            )
+            oracle_s = _median_time(
+                lambda: _nearest_mode_oracle(codes, modes), timing_repeats
+            )
+            columns_s = _median_time(
+                lambda: nearest_mode(columns, modes), timing_repeats
+            )
+            speedups[f"{name}/k{k}"] = oracle_s / columns_s
+    return {
+        "rows": n_rows,
+        "clusters": n_clusters,
+        "timing_repeats": timing_repeats,
+        "fit_assign_ms": fit_ms,
+        "nearest_mode_speedups": speedups,
+        "nearest_mode_speedup": min(speedups.values()),
+        "nearest_mode_equal": equal,
+    }
+
+
 def main(argv: "list[str] | None" = None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=8_000)
@@ -200,6 +258,7 @@ def main(argv: "list[str] | None" = None) -> dict:
         repeats=args.repeats,
         timing_repeats=args.timing_repeats,
     )
+    result["fits"] = run_fit_bench()
     print(json.dumps(result, indent=2))
     if args.out != "-":
         with open(args.out, "w") as fh:

@@ -19,6 +19,8 @@
 # clustering + explanation) against the /v1/pipeline path vs naive
 # refit-per-request execution and writes BENCH_pipeline.json; the spec-seeded
 # fits are byte-reproducible, so it also asserts payload byte-identity.
+# Its "fits" section times fit+assign per DP method and gates the
+# column-wise nearest_mode at >=2x its n x k x d broadcast oracle.
 # Bench 5 measures budget-ledger charge admission at a 100k-charge ledger
 # (exact O(1) integer accounting vs the seed's O(n) float re-sum) and
 # persistence bytes-per-request (append-only journal vs full snapshot
@@ -276,6 +278,15 @@ assert result["exact_equal"], "pipeline payloads diverged from the naive path"
 assert speedup >= 3.0, f"pipeline speedup regressed below 3x: {speedup:.2f}x"
 assert result["clustering_fits"] == 1, (
     f"fit-once contract broken: {result['clustering_fits']} fits"
+)
+fits = result["fits"]
+print("fit+assign at {rows} rows, k={clusters}: ".format(**fits)
+      + ", ".join(f"{m} {ms:.1f} ms" for m, ms in fits["fit_assign_ms"].items())
+      + f"; nearest_mode speedup {fits['nearest_mode_speedup']:.1f}x "
+      f"(min over {sorted(fits['nearest_mode_speedups'])})")
+assert fits["nearest_mode_equal"], "nearest_mode diverged from its broadcast oracle"
+assert fits["nearest_mode_speedup"] >= 2.0, (
+    f"nearest_mode speedup regressed below 2x: {fits['nearest_mode_speedup']:.2f}x"
 )
 EOF
 

@@ -80,10 +80,7 @@ class ModeBasedClustering(ClusteringFunction):
         return int(self.modes.shape[0])
 
     def assign(self, dataset: Dataset) -> np.ndarray:
-        codes = dataset.to_matrix(self.names).astype(np.int64)
-        if codes.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        return nearest_mode(codes, self.modes)
+        return nearest_mode([dataset.column(n) for n in self.names], self.modes)
 
 
 @dataclass(frozen=True)
@@ -151,22 +148,38 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     for start in range(0, n, block):
         chunk = points[start : start + block]
         # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 ; ||x||^2 constant per row.
+        # In place: -2x is exact, so (-2x) + ||c||^2 == ||c||^2 - 2x bitwise.
         d = chunk @ centers.T
-        d = c_sq[None, :] - 2.0 * d
+        d *= -2.0
+        d += c_sq
         out[start : start + block] = np.argmin(d, axis=1)
     return out
 
 
-def nearest_mode(codes: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Index of the mode with the fewest attribute mismatches per row."""
-    n = codes.shape[0]
-    k = modes.shape[0]
+def nearest_mode(columns: Sequence[np.ndarray], modes: np.ndarray) -> np.ndarray:
+    """Index of the mode with the fewest attribute mismatches per row.
+
+    ``columns`` are the ``d`` per-attribute code columns (a ``(d, n)`` array
+    works too) and ``modes`` the ``(k, d)`` mode codes.  Mismatches are
+    summed one attribute at a time into a ``(k, block)`` accumulator whose
+    integer dtype is the smallest that holds ``d``, so no ``n x k x d``
+    comparison tensor is built.  Ties go to the lowest mode index.
+    """
+    k, d = modes.shape
+    if len(columns) != d:
+        raise ValueError("need one code column per attribute of the modes")
+    if d == 0:
+        raise ValueError("nearest_mode needs at least one attribute")
+    n = len(columns[0])
     out = np.empty(n, dtype=np.int64)
-    block = max(1, int(8_000_000 // max(k * codes.shape[1], 1)))
+    acc_dtype = np.min_scalar_type(d)
+    block = max(1, 4_000_000 // k)
     for start in range(0, n, block):
-        chunk = codes[start : start + block]
-        mism = np.sum(chunk[:, None, :] != modes[None, :, :], axis=2)
-        out[start : start + block] = np.argmin(mism, axis=1)
+        stop = min(start + block, n)
+        mism = np.zeros((k, stop - start), dtype=acc_dtype)
+        for j, col in enumerate(columns):
+            mism += col[None, start:stop] != modes[:, j, None]
+        out[start:stop] = np.argmin(mism, axis=0)
     return out
 
 

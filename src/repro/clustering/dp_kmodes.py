@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset.table import Dataset
+from ..dataset.table import Dataset, grouped_histogram
 from ..privacy.budget import PrivacyAccountant, check_epsilon
 from ..privacy.mechanisms import GeometricMechanism
 from ..privacy.rng import ensure_rng
@@ -53,7 +53,7 @@ class DPKModes:
         d = len(names)
         if len(dataset) == 0:
             raise ValueError("cannot fit DP-k-modes on an empty dataset")
-        codes = dataset.to_matrix(names).astype(np.int64)
+        columns = [dataset.column(n) for n in names]
         domain_sizes = [dataset.schema.attribute(n).domain_size for n in names]
 
         eps_iter = self.epsilon / self.n_iterations
@@ -69,7 +69,10 @@ class DPKModes:
             ]
         )
         for it in range(self.n_iterations):
-            labels = nearest_mode(codes, modes)
+            labels = nearest_mode(columns, modes)
+            hist, offsets = grouped_histogram(
+                columns, domain_sizes, labels, self.n_clusters
+            )
             # d sequential releases per cluster, parallel across clusters.
             # Charged *before* any noise is drawn so an over-cap iteration
             # raises while zero histograms have been sampled.
@@ -79,14 +82,9 @@ class DPKModes:
                 )
             new_modes = modes.copy()
             for c in range(self.n_clusters):
-                members = codes[labels == c]
                 for j, m in enumerate(domain_sizes):
-                    hist = (
-                        np.bincount(members[:, j], minlength=m)
-                        if len(members)
-                        else np.zeros(m, dtype=np.int64)
-                    )
-                    noisy = hist + mech.sample_noise(m, gen)
+                    block = hist[c, offsets[j] : offsets[j + 1]]
+                    noisy = block + mech.sample_noise(m, gen)
                     new_modes[c, j] = int(np.argmax(noisy))
             modes = new_modes
         return ModeBasedClustering(tuple(names), modes)

@@ -40,8 +40,12 @@ class StandardEncoder:
         return cls(names, means, scales)
 
     def transform(self, dataset: Dataset) -> np.ndarray:
+        # In place on the fresh code matrix; same per-element operations,
+        # in the same order, as ``(mat - means) / scales``.
         mat = dataset.to_matrix(self.names)
-        return (mat - self.means) / self.scales
+        mat -= self.means
+        mat /= self.scales
+        return mat
 
     @property
     def dim(self) -> int:
@@ -72,9 +76,15 @@ class MinMaxEncoder:
         return cls(names, lows, highs)
 
     def transform(self, dataset: Dataset) -> np.ndarray:
+        # In place on the fresh code matrix; same per-element operations,
+        # in the same order, as ``2.0 * (mat - lows) / span - 1.0``.
         mat = dataset.to_matrix(self.names)
         span = np.where(self.highs > self.lows, self.highs - self.lows, 1.0)
-        return 2.0 * (mat - self.lows) / span - 1.0
+        mat -= self.lows
+        mat *= 2.0
+        mat /= span
+        mat -= 1.0
+        return mat
 
     @property
     def dim(self) -> int:

@@ -6,17 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset.table import Dataset
+from ..dataset.table import Dataset, grouped_histogram
 from ..privacy.rng import ensure_rng
 from .base import ModeBasedClustering, nearest_mode
-
-
-def _column_modes(codes: np.ndarray, domain_sizes: list[int]) -> np.ndarray:
-    """Per-column most frequent code of a cluster's member rows."""
-    out = np.empty(codes.shape[1], dtype=np.int64)
-    for j, m in enumerate(domain_sizes):
-        out[j] = int(np.argmax(np.bincount(codes[:, j], minlength=m)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -33,8 +25,8 @@ class KModes:
             raise ValueError("n_clusters must be >= 1")
         gen = ensure_rng(rng)
         names = dataset.schema.names
-        codes = dataset.to_matrix(names).astype(np.int64)
-        n = codes.shape[0]
+        columns = [dataset.column(nm) for nm in names]
+        n = len(dataset)
         if n < self.n_clusters:
             # Row count redacted: raw-data-derived, can reach envelopes.
             raise ValueError(
@@ -44,29 +36,37 @@ class KModes:
 
         # Seed with distinct random rows (retrying to avoid duplicate modes).
         seen: set[tuple[int, ...]] = set()
-        modes: list[np.ndarray] = []
+        modes: list[tuple[int, ...]] = []
         for _ in range(50 * self.n_clusters):
-            row = codes[gen.integers(n)]
-            key = tuple(int(v) for v in row)
+            key = dataset.row_codes(int(gen.integers(n)))
             if key not in seen:
                 seen.add(key)
-                modes.append(row.copy())
+                modes.append(key)
             if len(modes) == self.n_clusters:
                 break
         while len(modes) < self.n_clusters:  # fewer distinct rows than clusters
-            modes.append(codes[gen.integers(n)].copy())
-        mode_mat = np.stack(modes)
+            modes.append(dataset.row_codes(int(gen.integers(n))))
+        mode_mat = np.array(modes, dtype=np.int64)
 
-        labels = nearest_mode(codes, mode_mat)
+        labels = nearest_mode(columns, mode_mat)
         for _ in range(self.max_iter):
-            new_modes = mode_mat.copy()
-            for c in range(self.n_clusters):
-                members = codes[labels == c]
-                if len(members) == 0:
-                    new_modes[c] = codes[gen.integers(n)]
-                else:
-                    new_modes[c] = _column_modes(members, domain_sizes)
-            new_labels = nearest_mode(codes, new_modes)
+            hist, offsets = grouped_histogram(
+                columns, domain_sizes, labels, self.n_clusters
+            )
+            # Per attribute, each cluster's most frequent code.
+            new_modes = np.stack(
+                [
+                    hist[:, offsets[j] : offsets[j + 1]].argmax(axis=1)
+                    for j in range(len(names))
+                ],
+                axis=1,
+            )
+            # Every row lands in the first attribute's block exactly once,
+            # so its row sums are the cluster sizes; empty clusters re-seed.
+            sizes = hist[:, : offsets[1]].sum(axis=1)
+            for c in np.flatnonzero(sizes == 0):
+                new_modes[c] = dataset.row_codes(int(gen.integers(n)))
+            new_labels = nearest_mode(columns, new_modes)
             mode_mat = new_modes
             if np.array_equal(new_labels, labels):
                 labels = new_labels

@@ -18,19 +18,14 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from ..dataset.schema import Schema
-from ..dataset.table import CODE_DTYPE, Dataset, FingerprintAccumulator, chunk_spans
+from ..dataset.table import (
+    CODE_DTYPE,
+    Dataset,
+    FingerprintAccumulator,
+    default_chunk_rows,
+    grouped_histogram,
+)
 from ..clustering.base import ClusteringFunction
-
-# Default scratch bound for chunked materialisation: the transient
-# (|A|, chunk) flat-code matrix is kept under ~64 MiB regardless of |D|,
-# so a 10M-row dataset group-bys in bounded memory.
-_CHUNK_SCRATCH_BYTES = 64 * 1024 * 1024
-
-
-def _materialise_chunk_rows(n_attributes: int) -> int:
-    """Rows per chunk keeping the (|A|, chunk) int64 scratch under budget."""
-    per_row = max(n_attributes, 1) * np.dtype(CODE_DTYPE).itemsize
-    return max(_CHUNK_SCRATCH_BYTES // per_row, 1024)
 
 
 def _signature_digest(fingerprint: str, n_clusters: int, label_digest: bytes) -> str:
@@ -175,13 +170,11 @@ class ClusteredCounts:
         """The ``(n_clusters, |dom(A)|)`` matrix of per-cluster counts."""
         cached = self._by_cluster.get(name)
         if cached is None:
-            m = self.domain_size(name)
-            codes = np.asarray(self._dataset.column(name))
-            flat = self._labels * m + codes
-            cached = (
-                np.bincount(flat, minlength=self._n_clusters * m)
-                .reshape(self._n_clusters, m)
-                .astype(np.int64)
+            cached, _ = grouped_histogram(
+                [self._dataset.column(name)],
+                [self.domain_size(name)],
+                self._labels,
+                self._n_clusters,
             )
             self._by_cluster[name] = cached
         return cached
@@ -189,43 +182,25 @@ class ClusteredCounts:
     def materialise(self, chunk_rows: int | None = None) -> None:
         """Fused streaming group-by over every not-yet-cached attribute.
 
-        All attributes are encoded into one flat code vector with cumulative
-        domain offsets, so ``np.bincount`` over
-        ``labels * total_bins + offset_A + code`` yields every
-        ``(|C|, m_A)`` by-cluster matrix at once — one pass over the
-        ``n x |A|`` codes instead of ``|A|`` separate label-scaling +
-        bincount passes.  The pass runs over fixed-size row chunks
-        (``chunk_rows`` rows; default bounds the transient (|A|, chunk)
-        code matrix to ~64 MiB), accumulating the integer histogram chunk
-        by chunk — bincount is an exact integer sum, so the result is
-        bit-identical to the one-shot pass for every chunk size, while the
-        peak scratch stays flat in ``|D|`` (the seed path stacked the full
-        (|A|, n) code matrix: ~3.8 GiB at 10M rows x 47 attributes).
-        Idempotent; :meth:`by_cluster_stack` calls it so the dense engine
-        stack is fed directly from the fused histogram.
+        One :func:`~repro.dataset.table.grouped_histogram` pass yields every
+        ``(|C|, m_A)`` by-cluster matrix at once — one bincount over the
+        ``n x |A|`` offset codes instead of ``|A|`` separate passes — over
+        fixed-size row chunks (``chunk_rows`` rows; default bounds the
+        transient (|A|, chunk) code matrix to ~64 MiB), so the result is
+        bit-identical for every chunk size while the peak scratch stays
+        flat in ``|D|``.  Idempotent; :meth:`by_cluster_stack` calls it so
+        the dense engine stack is fed directly from the fused histogram.
         """
         missing = [n for n in self.names if n not in self._by_cluster]
         if not missing:
             return
-        sizes = np.array([self.domain_size(n) for n in missing], dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        total_bins = int(offsets[-1])
-        if chunk_rows is None:
-            chunk_rows = _materialise_chunk_rows(len(missing))
-        hist = np.zeros((self._n_clusters, total_bins), dtype=np.int64)
-        flat_hist = hist.reshape(-1)
-        n = len(self._dataset)
-        for span in chunk_spans(n, chunk_rows):
-            # (|A|, chunk) codes + per-attribute offsets + scaled labels,
-            # broadcast into one flat index vector for the chunk's bincount.
-            flat = np.stack(
-                [np.asarray(self._dataset.column(a)[span]) for a in missing]
-            )
-            flat += offsets[:-1, None]
-            flat += self._labels[span] * total_bins
-            flat_hist += np.bincount(
-                flat.ravel(), minlength=self._n_clusters * total_bins
-            )
+        hist, offsets = grouped_histogram(
+            [self._dataset.column(a) for a in missing],
+            [self.domain_size(a) for a in missing],
+            self._labels,
+            self._n_clusters,
+            chunk_rows,
+        )
         for j, name in enumerate(missing):
             self._by_cluster[name] = np.ascontiguousarray(
                 hist[:, offsets[j] : offsets[j + 1]], dtype=np.int64
@@ -304,7 +279,6 @@ class StreamingCountsBuilder:
         self._offsets = np.concatenate(([0], np.cumsum(self._domain_sizes)))
         self._total_bins = int(self._offsets[-1])
         self._hist = np.zeros((self._n_clusters, self._total_bins), dtype=np.int64)
-        self._flat_hist = self._hist.reshape(-1)
         self._sizes = np.zeros(self._n_clusters, dtype=np.int64)
         self._n = 0
         self._fingerprint_acc = FingerprintAccumulator(schema)
@@ -344,12 +318,9 @@ class StreamingCountsBuilder:
             return
         self._fingerprint_acc.update(dict(zip(self._names, cols)))
         self._label_hasher.update(labels.tobytes())
-        flat = np.stack(cols)
-        flat += self._offsets[:-1, None]
-        flat += labels * self._total_bins
-        self._flat_hist += np.bincount(
-            flat.ravel(), minlength=self._n_clusters * self._total_bins
-        )
+        self._hist += grouped_histogram(
+            cols, self._domain_sizes, labels, self._n_clusters, chunk_rows=k
+        )[0]
         self._sizes += np.bincount(labels, minlength=self._n_clusters)
         self._n += k
 
@@ -363,7 +334,7 @@ class StreamingCountsBuilder:
         if len(labels) != len(dataset):
             raise ValueError("label array length must equal |D|")
         if chunk_rows is None:
-            chunk_rows = _materialise_chunk_rows(len(self._names))
+            chunk_rows = default_chunk_rows(len(self._names))
         for span, cols in dataset.iter_chunks(chunk_rows):
             self.add_chunk(cols, labels[span])
         return self

@@ -20,8 +20,9 @@ A **span** is one named timed section recorded into the shared
 ``repro_span_duration_seconds{span=...}`` histogram.  The span taxonomy
 (:data:`SPANS`) covers the request path end to end: frontend queueing,
 the coalescing window, frame round-trip, scoring, DP release, journal
-fsync, and cache lookup.  Spans are aggregate (no per-trace storage) —
-the point is "where do requests spend time", at histogram cost.
+fsync, cache lookup, and the pipeline's clustering fit.  Spans are
+aggregate (no per-trace storage) — the point is "where do requests spend
+time", at histogram cost.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ SPANS = (
     "mechanism-release",  # DP histogram releases for selected combos
     "journal-fsync",      # ledger journal append + fsync, per record
     "cache-lookup",       # explanation-cache probe in submit()
+    "clustering-fit",     # pipeline fit + derived counts build, per miss
 )
 
 

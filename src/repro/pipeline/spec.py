@@ -151,20 +151,3 @@ class ClusteringSpec:
             "n_iterations": self.n_iterations,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "ClusteringSpec":
-        """Build a spec from decoded JSON fields (raises ``ValueError``)."""
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(body) - known
-        if unknown:
-            raise ValueError(f"unknown clustering fields: {sorted(unknown)}")
-        kwargs = dict(body)
-        if "method" not in kwargs:
-            raise ValueError("'method' is required")
-        if "epsilon" in kwargs:
-            kwargs["epsilon"] = float(kwargs["epsilon"])
-        for key in ("n_clusters", "n_iterations", "seed"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        return cls(**kwargs).validated()

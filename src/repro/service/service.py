@@ -810,6 +810,7 @@ class ExplanationService:
             tenant = self.registry.tenant(tenant_id, self.auto_tenant_budget)
             accountant = tenant.accountant(base.base_id)
             token = accountant.spend(spec.epsilon, spec.label(base.dataset_id))
+            t0 = time.perf_counter()
             try:
                 clustering = spec.fit(base.dataset)
                 entry = DatasetEntry(
@@ -823,6 +824,10 @@ class ExplanationService:
                 accountant.refund(token)
                 self.registry.persist_tenant(tenant)
                 raise
+            finally:
+                self._spans.observe(
+                    time.perf_counter() - t0, ("clustering-fit",)
+                )
             if not self.registry.add_entry_if_current(entry, base):
                 # The base was re-registered while we fitted: this fit ran
                 # on the replaced data and was never exposed to anyone, so

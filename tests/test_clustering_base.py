@@ -34,21 +34,53 @@ class TestNearestCenter:
         assert np.array_equal(got, direct)
 
 
+def _nearest_mode_oracle(codes, modes):
+    """Broadcast reference: the full n x k x d mismatch tensor."""
+    return np.argmin((codes[:, None, :] != modes[None]).sum(2), 1)
+
+
 class TestNearestMode:
     def test_exact_assignment(self):
         codes = np.array([[0, 1, 2], [3, 3, 3]])
         modes = np.array([[0, 1, 0], [3, 3, 2]])
-        assert nearest_mode(codes, modes).tolist() == [0, 1]
+        assert nearest_mode(codes.T, modes).tolist() == [0, 1]
 
     def test_blockwise_matches_direct(self):
         rng = np.random.default_rng(1)
         codes = rng.integers(0, 4, size=(300, 5))
         modes = rng.integers(0, 4, size=(6, 5))
-        got = nearest_mode(codes, modes)
+        got = nearest_mode(codes.T, modes)
         direct = np.argmin(
             (codes[:, None, :] != modes[None]).sum(axis=2), axis=1
         )
         assert np.array_equal(got, direct)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    @pytest.mark.parametrize("d", [1, 3, 40])
+    def test_matches_broadcast_oracle_with_forced_ties(self, k, d):
+        rng = np.random.default_rng(100 * k + d)
+        # Two-value codes make equal mismatch counts common, and duplicated
+        # modes force exact ties that must go to the lower mode index.
+        codes = rng.integers(0, 2, size=(500, d))
+        modes = rng.integers(0, 2, size=(k, d))
+        if k > 1:
+            modes[-1] = modes[0]
+        got = nearest_mode(list(codes.T), modes)
+        want = _nearest_mode_oracle(codes, modes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        if k > 1:
+            assert not np.any(got == k - 1)
+
+    def test_rows_tied_on_every_mode_go_to_mode_zero(self):
+        codes = np.zeros((4, 3), dtype=np.int64)
+        modes = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        assert nearest_mode(codes.T, modes).tolist() == [0, 0, 0, 0]
+
+    def test_row_matrix_instead_of_columns_is_rejected(self):
+        codes = np.zeros((5, 3), dtype=np.int64)  # (n, d), not (d, n)
+        with pytest.raises(ValueError):
+            nearest_mode(codes, np.zeros((2, 3), dtype=np.int64))
 
 
 class TestCenterBasedClustering:

@@ -51,6 +51,7 @@ from repro.obs.tracing import attach_trace
 from repro.service import (
     ExplainRequest,
     ExplanationService,
+    PipelineRequest,
     ServiceClient,
     ShardedService,
     make_server,
@@ -316,6 +317,51 @@ class TestServiceObservability:
             health = service.health(deep=True)
             assert health["status"] == "ok"
             assert health["journal_tails"]["alice"] > 0
+        finally:
+            service.stop()
+
+    def test_clustering_fit_span_counts_genuine_misses_only(self, dataset):
+        service = ExplanationService(auto_tenant_budget=100.0)
+        try:
+            service.register_dataset("raw", dataset)  # labels-free base
+            service.create_tenant("poor", budget_limit=0.5)
+
+            def pipeline(clustering_seed, method, seed, tenant="alice"):
+                return service.pipeline(
+                    PipelineRequest(
+                        tenant=tenant,
+                        dataset="raw",
+                        method=method,
+                        n_clusters=3,
+                        clustering_seed=clustering_seed,
+                        seed=seed,
+                    )
+                )
+
+            specs = [(0, "dp-kmeans"), (1, "dp-kmodes"), (2, "dp-kmeans")]
+            # N = 3 genuine misses, then M = 4 fitted-cache hits (repeat
+            # specs, new explanation seeds), then one fit refused before
+            # it starts because its tenant cannot cover the clustering.
+            statuses = [pipeline(c, m, seed=0) for c, m in specs]
+            statuses += [
+                pipeline(c, m, seed=10 + i)
+                for i, (c, m) in enumerate(specs + specs[:1])
+            ]
+            refused = pipeline(7, "dp-kmeans", seed=0, tenant="poor")
+            assert [e["pipeline"]["clustering_cache"] for e in statuses] == (
+                ["miss"] * 3 + ["hit"] * 4
+            )
+            assert refused["status"] == "refused"
+
+            spans = {
+                labels[0]: cell["count"]
+                for labels, cell in snapshot_series(
+                    service.metrics_snapshot(), "repro_span_duration_seconds"
+                ).items()
+            }
+            assert "clustering-fit" in SPANS
+            assert spans["clustering-fit"] == 3
+            assert service.stats.get("clustering_fits") == 3
         finally:
             service.stop()
 

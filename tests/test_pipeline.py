@@ -62,14 +62,6 @@ class TestClusteringSpec:
         with pytest.raises((ValueError, TypeError)):
             ClusteringSpec(**{"n_clusters": 3, **kwargs}).validated()
 
-    def test_from_json_roundtrip_and_unknown_fields(self):
-        spec = ClusteringSpec.from_json(
-            {"method": "dp-kmodes", "n_clusters": 4, "epsilon": 0.5, "seed": 2}
-        )
-        assert spec == ClusteringSpec("dp-kmodes", 4, 0.5, 5, 2)
-        with pytest.raises(ValueError):
-            ClusteringSpec.from_json({"method": "dp-kmeans", "evil": 1})
-
     def test_cache_key_leads_with_fingerprint(self, data):
         key = ClusteringSpec("dp-kmeans", 3).cache_key(data.fingerprint())
         assert key[0] == data.fingerprint()
