@@ -29,9 +29,10 @@
 # through the async front end — open-loop Poisson arrivals with zipf
 # tenant/seed skew (p50/p99/p999 latency) plus a closed-loop saturation
 # flood vs a single-process service — and merges a "sharded" section into
-# BENCH_service.json.  DP-release byte-identity across deployments is
-# always asserted; the >=3x multi-worker saturation speedup only where
-# >=8 cores exist to scale onto (recorded in the artifact either way).
+# BENCH_service.json.  DP-release byte-identity across deployments and
+# zero errors in both the open loop and the flood are always asserted;
+# the >=3x multi-worker saturation speedup only where >=8 cores exist to
+# scale onto (recorded in the artifact either way).
 # Bench 7 also gates the observability layer: the metrics registry must
 # cost <=5% single-process throughput (obs.throughput_ratio >= 0.95), must
 # never perturb DP bytes (obs.byte_identical), and the sharded scrape must
@@ -230,6 +231,9 @@ assert sharded["exact_equal"], (
     "sharded tier's DP releases diverged from the single-process service"
 )
 assert ol["errors"] == 0, f"open-loop load produced {ol['errors']} errors"
+assert sat["error_classes"] == {}, (
+    f"saturation flood produced errors: {sat['error_classes']}"
+)
 for key in ("p50_ms", "p99_ms", "p999_ms"):
     assert ol[key] > 0.0, f"latency histogram missing {key}"
 assert ol["p50_ms"] <= ol["p99_ms"] <= ol["p999_ms"], "quantiles disordered"

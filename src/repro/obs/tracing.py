@@ -10,17 +10,17 @@ and carried end-to-end:
   from ``engine_key``/``cache_key``, so tracing never perturbs coalescing,
   caching, or the DP release bytes);
 * across processes inside the ``asdict(request)`` payload of the
-  length-prefixed ``explain``/``explain_batch`` frames — no frame-protocol
-  change, just one more request field;
+  length-prefixed ``explain`` frame — no frame-protocol change, just one
+  more request field;
 * back out in the response envelope via :func:`attach_trace`, which tags
   ``meta`` on success and ``error`` on structured refusals/failures
   (429/503/5xx) so a failed request is attributable from the client side.
 
 A **span** is one named timed section recorded into the shared
 ``repro_span_duration_seconds{span=...}`` histogram.  The span taxonomy
-(:data:`SPANS`) covers the request path end to end: frontend queueing,
-the coalescing window, frame round-trip, scoring, DP release, journal
-fsync, cache lookup, and the pipeline's clustering fit.  Spans are
+(:data:`SPANS`) covers the request path end to end: front-end routing and
+frame write, frame round-trip, scoring, DP release, journal fsync, cache
+lookup, and the pipeline's clustering fit.  Spans are
 aggregate (no per-trace storage) — the point is "where do requests spend
 time", at histogram cost.
 """
@@ -39,8 +39,7 @@ SPAN_HELP = "Duration of one named request-path section (span taxonomy)."
 
 #: The span taxonomy — every instrumented section of the request path.
 SPANS = (
-    "frontend-queue",     # explain() enqueue -> batch flush, per request
-    "coalesce-window",    # first buffered request -> flush, per batch
+    "frontend-queue",     # explain() entry -> frame written, per request
     "frame-rtt",          # frame write -> reply resolve, per request
     "engine-score",       # batched candidate scoring (select_batched)
     "mechanism-release",  # DP histogram releases for selected combos

@@ -2,22 +2,21 @@
 
 :class:`AsyncFrontend` is the data path: it holds one asyncio unix-socket
 connection per shard worker, routes every request to its tenant's owner
-(``shard_of``), and **coalesces same-configuration requests into batches**
-before they hit the wire — requests sharing an
-:meth:`~repro.service.service.ExplainRequest.engine_key` that arrive within
-``batch_window_s`` of each other are flushed as one ``explain_batch`` frame,
-so a burst of equal-parameter requests costs one frame (and, worker-side,
-one batched engine pass) instead of N.  Replies carry the request id and may
-arrive in any order; a reader task per connection matches them to futures.
+(``shard_of``) and writes it at once as its own ``explain`` frame.  It does
+not batch: each worker's coalescing queue drains every queued request with
+the same :meth:`~repro.service.service.ExplainRequest.engine_key` into one
+batched engine pass, so a burst of equal-parameter requests still costs one
+pass there.  Replies carry the request id and may arrive in any order; a
+reader task per connection matches them to futures.
 
 Failover semantics (the front-end half of the supervisor's contract): when
-a worker connection drops, every in-flight and still-buffered request for
-that worker resolves *immediately* with a structured 503
-(``worker-restarting``) envelope — callers never hang on a dead process —
-and a reconnect loop re-establishes the connection once the supervisor has
-respawned the worker.  Requests arriving while the link is down get the
-same 503; the journal guarantees their tenants' ledgers are exact when the
-worker returns.
+a worker connection drops, every in-flight request for that worker
+resolves *immediately* with a structured 503 (``worker-restarting``)
+envelope — callers never hang on a dead process — and a reconnect loop
+re-establishes the connection once the supervisor has respawned the
+worker.  Requests arriving while the link is down get the same 503; the
+journal guarantees their tenants' ledgers are exact when the worker
+returns.
 
 :class:`ShardedService` wraps the front end and the supervisor behind the
 blocking ``ExplanationService`` surface the HTTP layer consumes
@@ -45,40 +44,23 @@ from .transport import FrameError, read_frame_async, write_frame_async
 
 
 class _Link:
-    """One worker connection: reader task, pending futures, batch buffers.
+    """One worker connection: reader task and in-flight requests.
 
-    ``enqueued``/``sent`` hold per-request ``time.monotonic()`` stamps
-    (buffered → flushed-to-wire), ``traces`` the request's trace id — all
-    keyed by request id and popped together on resolve, so the span
-    bookkeeping can never outlive its future.
+    ``inflight`` maps request id → ``(future, sent_at, trace_id)``, where
+    ``sent_at`` is the ``time.monotonic()`` stamp of the frame write; the
+    entry is popped on resolve, so the span bookkeeping can never outlive
+    its future.
     """
 
-    __slots__ = (
-        "index",
-        "reader",
-        "writer",
-        "alive",
-        "pending",
-        "buffers",
-        "flush_handle",
-        "reader_task",
-        "enqueued",
-        "sent",
-        "traces",
-    )
+    __slots__ = ("index", "reader", "writer", "alive", "inflight", "reader_task")
 
     def __init__(self, index: int):
         self.index = index
         self.reader = None
         self.writer = None
         self.alive = False
-        self.pending: "dict[int, asyncio.Future]" = {}
-        self.buffers: "dict[tuple, list]" = {}
-        self.flush_handle: "asyncio.TimerHandle | None" = None
+        self.inflight: "dict[int, tuple[asyncio.Future, float, str]]" = {}
         self.reader_task: "asyncio.Task | None" = None
-        self.enqueued: "dict[int, float]" = {}
-        self.sent: "dict[int, float]" = {}
-        self.traces: "dict[int, str]" = {}
 
 
 class AsyncFrontend:
@@ -88,18 +70,12 @@ class AsyncFrontend:
         self,
         supervisor: ShardSupervisor,
         *,
-        batch_window_s: float = 0.002,
-        max_batch: int = 64,
         metrics: "MetricsRegistry | None" = None,
     ):
         self.supervisor = supervisor
-        self.batch_window_s = batch_window_s
-        self.max_batch = max_batch
         self._links = [_Link(i) for i in range(supervisor.n_workers)]
-        self._loop: "asyncio.AbstractEventLoop | None" = None
         self._closed = False
         self._next_id = 0
-        self.batches_sent = 0
         self.requests_sent = 0
         # Default to the supervisor's registry so respawn counters, control
         # frame counters and front-end spans land in one snapshot.
@@ -110,22 +86,12 @@ class AsyncFrontend:
             "Frames read/written on shard-tier sockets by direction.",
             ("direction",),
         )
-        self._batch_size = self.metrics.histogram(
-            "repro_frontend_batch_size",
-            "Requests per explain_batch frame sent to a worker.",
-            base=1.0, growth=2.0, n_buckets=12,
-        )
 
     # -- lifecycle -------------------------------------------------------- #
 
     async def start(self) -> "AsyncFrontend":
-        self._loop = asyncio.get_running_loop()
         for link in self._links:
             await self._connect(link)
-        # A respawn notification wakes the reconnect path early; the
-        # reader's own reconnect loop is the fallback when the callback
-        # beats the respawned socket.
-        self.supervisor.on_worker_restart(self._notify_restart)
         return self
 
     async def _connect(self, link: _Link) -> None:
@@ -138,18 +104,9 @@ class AsyncFrontend:
             self._read_loop(link)
         )
 
-    def _notify_restart(self, index: int) -> None:
-        # Called from the supervisor's monitor thread.
-        loop = self._loop
-        if loop is not None and not self._closed:
-            loop.call_soon_threadsafe(lambda: None)  # nudge the loop awake
-
     async def close(self) -> None:
         self._closed = True
         for link in self._links:
-            if link.flush_handle is not None:
-                link.flush_handle.cancel()
-                link.flush_handle = None
             if link.reader_task is not None:
                 link.reader_task.cancel()
             if link.writer is not None:
@@ -176,6 +133,7 @@ class AsyncFrontend:
         the wire (worker down, link drop) carry the same id, so a 503 is
         as attributable as a served response.
         """
+        t_in = time.monotonic()
         if not request.trace_id:
             request = request.with_trace(new_trace_id())
         index = shard_of(request.tenant, self.supervisor.n_workers)
@@ -188,62 +146,21 @@ class AsyncFrontend:
         future: "asyncio.Future[dict]" = loop.create_future()
         self._next_id += 1
         rid = self._next_id
-        link.pending[rid] = future
-        link.enqueued[rid] = time.monotonic()
-        link.traces[rid] = request.trace_id
-        bucket = link.buffers.setdefault(request.engine_key(), [])
-        bucket.append({"id": rid, "request": asdict(request)})
+        link.inflight[rid] = (future, time.monotonic(), request.trace_id)
         self.requests_sent += 1
-        if sum(len(b) for b in link.buffers.values()) >= self.max_batch:
-            await self._flush(link)
-        elif link.flush_handle is None:
-            link.flush_handle = loop.call_later(
-                self.batch_window_s,
-                lambda: loop.create_task(self._flush(link)),
+        try:
+            await write_frame_async(
+                link.writer, {"op": "explain", "id": rid, "request": asdict(request)}
             )
+            self._frames.inc(1, ("written",))
+        except (FrameError, OSError, ConnectionError):
+            self._drop_link(link)  # resolves this request's future too
+        self._spans.observe(time.monotonic() - t_in, ("frontend-queue",))
         try:
             return await asyncio.wait_for(future, timeout_s)
         except TimeoutError:
-            link.pending.pop(rid, None)
-            link.enqueued.pop(rid, None)
-            link.sent.pop(rid, None)
-            link.traces.pop(rid, None)
+            link.inflight.pop(rid, None)
             raise
-
-    async def _flush(self, link: _Link) -> None:
-        if link.flush_handle is not None:
-            link.flush_handle.cancel()
-            link.flush_handle = None
-        buffers, link.buffers = link.buffers, {}
-        if not buffers or not link.alive:
-            for items in buffers.values():
-                for item in items:
-                    self._resolve(
-                        link, item["id"], worker_restarting_envelope(link.index)
-                    )
-            return
-        try:
-            # One explain_batch frame per engine key: the worker enqueues
-            # the whole frame before its coalescing queue takes a batch, so
-            # same-key requests land in one engine pass.
-            for items in buffers.values():
-                now = time.monotonic()
-                oldest = now
-                for item in items:
-                    t_in = link.enqueued.get(item["id"])
-                    if t_in is not None:
-                        oldest = min(oldest, t_in)
-                        self._spans.observe(now - t_in, ("frontend-queue",))
-                    link.sent[item["id"]] = now
-                self._spans.observe(now - oldest, ("coalesce-window",))
-                self._batch_size.observe(len(items))
-                await write_frame_async(
-                    link.writer, {"op": "explain_batch", "items": items}
-                )
-                self._frames.inc(1, ("written",))
-                self.batches_sent += 1
-        except (FrameError, OSError, ConnectionError):
-            self._drop_link(link)
 
     async def _read_loop(self, link: _Link) -> None:
         try:
@@ -259,16 +176,13 @@ class AsyncFrontend:
         await self._reconnect(link)
 
     def _resolve(self, link: _Link, rid, envelope) -> None:
-        future = link.pending.pop(rid, None)
-        link.enqueued.pop(rid, None)
-        t_sent = link.sent.pop(rid, None)
-        trace = link.traces.pop(rid, None)
-        if future is not None and not future.done():
-            if t_sent is not None:
-                self._spans.observe(time.monotonic() - t_sent, ("frame-rtt",))
-            if trace is not None:
-                envelope = attach_trace(envelope, trace)
-            future.set_result(envelope)
+        entry = link.inflight.pop(rid, None)
+        if entry is None:
+            return
+        future, t_sent, trace = entry
+        if not future.done():
+            self._spans.observe(time.monotonic() - t_sent, ("frame-rtt",))
+            future.set_result(attach_trace(envelope, trace))
 
     def _drop_link(self, link: _Link) -> None:
         """Connection lost: fail everything outstanding, mark dead."""
@@ -281,11 +195,7 @@ class AsyncFrontend:
 
     def _fail_link(self, link: _Link) -> None:
         envelope = worker_restarting_envelope(link.index)
-        for items in link.buffers.values():
-            for item in items:
-                self._resolve(link, item["id"], dict(envelope))
-        link.buffers = {}
-        for rid in list(link.pending):
+        for rid in list(link.inflight):
             self._resolve(link, rid, dict(envelope))
 
     async def _reconnect(self, link: _Link) -> None:
@@ -309,7 +219,6 @@ class AsyncFrontend:
     def describe(self) -> dict:
         body = self.supervisor.describe()
         body["frontend"] = {
-            "batches_sent": self.batches_sent,
             "requests_sent": self.requests_sent,
             "links_alive": sum(1 for link in self._links if link.alive),
         }
@@ -353,8 +262,6 @@ class ShardedService:
         cache_entries: int = 256,
         compact_every: int = 256,
         service_threads: int = 2,
-        batch_window_s: float = 0.002,
-        max_batch: int = 64,
         socket_dir: "str | None" = None,
         metrics: "MetricsRegistry | None" = None,
     ):
@@ -371,20 +278,15 @@ class ShardedService:
             socket_dir=socket_dir,
             metrics=self.metrics,
         )
-        self.frontend = AsyncFrontend(
-            self.supervisor,
-            batch_window_s=batch_window_s,
-            max_batch=max_batch,
-            metrics=self.metrics,
-        )
+        self.frontend = AsyncFrontend(self.supervisor, metrics=self.metrics)
         self._loop = asyncio.new_event_loop()
         self._loop_thread: "threading.Thread | None" = None
         self._started = False
 
     # -- lifecycle -------------------------------------------------------- #
 
-    def start(self, workers: int | None = None) -> "ShardedService":
-        """Spawn the deployment (``workers`` kept for signature parity)."""
+    def start(self) -> "ShardedService":
+        """Spawn the supervisor's workers and connect the front end."""
         if self._started:
             return self
         self.supervisor.start()

@@ -21,19 +21,21 @@ attach zero-copy read-only views; the rows never cross a process boundary.
 Wire protocol (see :mod:`repro.service.transport`): length-prefixed JSON
 frames over a unix socket the worker binds.  Every request frame carries an
 ``id``; every reply echoes it, so replies may arrive out of order (the
-worker answers each request from a future callback as it resolves).  Ops:
+worker answers each request from a future callback as it resolves).  The
+front end sends one ``explain`` frame per request; the worker's coalescing
+queue is what groups same-configuration requests into one engine pass.
+Ops:
 
-=================  =========================================================
-``register``       attach a shared dataset (handle + schema + fingerprints)
-``explain``        one explanation request → service envelope
-``explain_batch``  many requests in one frame (the front end's coalescing)
-``stats``          the worker's ``describe()`` + worker identity
-``metrics``        the worker's metrics-registry snapshot (scrape merge input)
-``health``         the worker's ``health(deep=...)`` body + worker identity
-``ledger``         one tenant's ledger description
-``ping``           liveness + identity probe
-``shutdown``       graceful stop: final journal checkpoint, then exit
-=================  =========================================================
+============  ==============================================================
+``register``  attach a shared dataset (handle + schema + fingerprints)
+``explain``   one explanation request → service envelope
+``stats``     the worker's ``describe()`` + worker identity
+``metrics``   the worker's metrics-registry snapshot (scrape merge input)
+``health``    the worker's ``health(deep=...)`` body + worker identity
+``ledger``    one tenant's ledger description
+``ping``      liveness + identity probe
+``shutdown``  graceful stop: final journal checkpoint, then exit
+============  ==============================================================
 
 Request tracing rides the same frames: an ``explain`` request body may
 carry a ``trace_id`` minted at the HTTP/front-end edge; the worker's
@@ -185,7 +187,6 @@ class ShardWorker:
         )
         self._listener: "socket.socket | None" = None
         self._stop = threading.Event()
-        self._conn_threads: "list[threading.Thread]" = []
 
     # -- lifecycle -------------------------------------------------------- #
 
@@ -209,14 +210,12 @@ class ShardWorker:
                     continue
                 except OSError:
                     break
-                t = threading.Thread(
+                threading.Thread(
                     target=self._serve_connection,
                     args=(FrameSocket(conn, metrics=self.service.metrics),),
                     name=f"shard-{self.config.index}-conn",
                     daemon=True,
-                )
-                t.start()
-                self._conn_threads.append(t)
+                ).start()
         finally:
             listener.close()
             # Final checkpoint *before* exit: stop() drains the queue so
@@ -251,11 +250,6 @@ class ShardWorker:
         try:
             if op == "explain":
                 self._handle_explain(frames, rid, frame.get("request"))
-            elif op == "explain_batch":
-                for item in frame.get("items", ()):
-                    self._handle_explain(
-                        frames, item.get("id"), item.get("request")
-                    )
             elif op == "register":
                 self._handle_register(frame)
                 frames.write({"id": rid, "ok": True, "dataset": frame["dataset"]})

@@ -127,7 +127,6 @@ class ShardSupervisor:
         self._monitor: "threading.Thread | None" = None
         self._registrations: "list[dict]" = []  # frames, replayed on respawn
         self._shared: "list" = []  # SharedStack owners, kept mapped until stop()
-        self._restart_listeners: "list" = []
         self.restarts = 0
         # Supervisor-process metrics: respawn counters plus the frame
         # counters of every control channel.  A front end sharing this
@@ -357,10 +356,6 @@ class ShardSupervisor:
 
     # -- failover --------------------------------------------------------- #
 
-    def on_worker_restart(self, callback) -> None:
-        """Register ``callback(index)`` invoked after each successful respawn."""
-        self._restart_listeners.append(callback)
-
     def _monitor_loop(self) -> None:
         while not self._stop.is_set():
             procs = [p for p in self._procs if p is not None and p.is_alive()]
@@ -401,11 +396,6 @@ class ShardSupervisor:
         # repro-lint: disable=monotonic-deadlines — wall-clock unix stamp exported as last_respawn_unix in healthz for humans; never enters deadline math (the ready deadline above uses time.monotonic())
         self._last_respawn[index] = time.time()
         self._respawns.inc(1, (str(index),))
-        for callback in list(self._restart_listeners):
-            try:
-                callback(index)
-            except Exception:  # noqa: BLE001 — listeners must not kill failover
-                pass
 
     # -- shutdown --------------------------------------------------------- #
 

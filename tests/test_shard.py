@@ -20,6 +20,7 @@ import urllib.request
 import pytest
 
 from repro import KMeans, diabetes_like
+from repro.obs import snapshot_value
 from repro.service import (
     ExplainRequest,
     ExplanationService,
@@ -324,6 +325,54 @@ class TestDeployment:
             inproc.stop()
         got = deployment.explain(request)
         assert canonical_json(_untraced(expected)) == canonical_json(_untraced(got))
+
+
+# --------------------------------------------------------------------------- #
+# front end: routes and writes, the worker queue coalesces
+# --------------------------------------------------------------------------- #
+
+
+class TestFrontEnd:
+    def test_burst_is_one_frame_and_one_span_per_request(
+        self, dataset, clustering
+    ):
+        service = ShardedService(1, auto_tenant_budget=8.0)
+        service.start()
+        try:
+            service.register_dataset("diabetes", dataset, clustering)
+            reqs = [_request("burst", seed=100 + i) for i in range(8)]
+            assert len({r.engine_key() for r in reqs}) == 1
+            # The front end's own registry: the merged scrape would also
+            # count the worker's frames.
+            registry = service.frontend.metrics
+            before = registry.snapshot()
+
+            async def burst():
+                return await asyncio.gather(
+                    *(service.frontend.explain(r) for r in reqs)
+                )
+
+            envelopes = service._run(burst())
+            after = registry.snapshot()
+            ledger = service.ledger_describe("burst")
+        finally:
+            service.stop()
+
+        def rise(name, labels):
+            old, new = (
+                snapshot_value(snap, name, labels) for snap in (before, after)
+            )
+            if isinstance(new, dict):  # histogram cell
+                old, new = (old or {}).get("count", 0), new["count"]
+            return new - (old or 0)
+
+        assert [e["status"] for e in envelopes] == ["ok"] * 8
+        assert rise("repro_frames_total", ("written",)) == 8
+        for span in ("frontend-queue", "frame-rtt"):
+            assert rise("repro_span_duration_seconds", (span,)) == 8, span
+        assert ledger["ledgers"]["diabetes"]["spent"] == pytest.approx(
+            sum(e["meta"]["charged_epsilon"] for e in envelopes)
+        )
 
 
 # --------------------------------------------------------------------------- #
