@@ -44,11 +44,11 @@
 # table is never held, so RSS is gated against a fixed budget) and per-task
 # sweep fan-out cost at 50k vs 1M rows (the shared-memory stack handoff must
 # keep it flat; gated at 1.2x).
-# Before any of that, repro-lint (python -m repro lint src/ --engine=all)
-# gates the run with both the AST rule suite and the interprocedural
-# taint+lockset flow engine: zero findings allowed, suppressions must carry
-# reasons, and the JSON report is archived as LINT_report.json with a SARIF
-# 2.1.0 twin at LINT_report.sarif.
+# Before any of that, repro-lint (python -m repro lint src/) gates the run
+# with its one rule suite — the syntactic DP-invariant rules and the
+# interprocedural taint + lockset rules: zero findings allowed, every rule
+# must have run, suppressions must carry reasons, and the JSON report is
+# archived as LINT_report.json with a SARIF 2.1.0 twin at LINT_report.sarif.
 # All artifacts live at the repo root — the perf-trajectory record across PRs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,15 +64,16 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 echo "== repro-lint static analysis (writes LINT_report.json + .sarif) =="
-# Hard gate: both engines — the AST-based DP-invariant rules AND the
-# interprocedural flow engine (taint + lockset, repro.analysis.flow) —
-# must find nothing in src/, and every inline suppression must carry its
-# reason.  The JSON report (schema v2: v1 plus per-finding flow traces,
-# see src/repro/analysis/model.py) is archived at the repo root next to
-# the BENCH_*.json artifacts, with a SARIF 2.1.0 twin for code-scanning
+# Hard gate: the one rule suite — the syntactic DP-invariant rules AND the
+# interprocedural taint + lockset rules (repro.analysis.flow) — must find
+# nothing in src/, every rule must have run (so none drops out of the suite
+# silently), and every inline suppression must carry its reason.  The
+# JSON report (schema v2: v1 plus per-finding flow traces, see
+# src/repro/analysis/model.py) is archived at the repo root next to the
+# BENCH_*.json artifacts, with a SARIF 2.1.0 twin for code-scanning
 # consumers.
 lint_status=0
-python -m repro lint src/ --engine=all --format=json \
+python -m repro lint src/ --format=json \
     --sarif LINT_report.sarif > LINT_report.json || lint_status=$?
 
 python - <<'EOF'
@@ -86,6 +87,16 @@ with open("LINT_report.sarif") as fh:
 assert sarif["version"] == "2.1.0", "SARIF version drifted"
 assert sarif["runs"][0]["tool"]["driver"]["name"] == "repro-lint"
 summary = report["summary"]
+expected_rules = [
+    "charge-before-release", "no-float-epsilon-arithmetic", "no-global-rng",
+    "trace-key-hygiene", "monotonic-deadlines", "fsync-in-hook",
+    "no-cached-envelope-mutation", "taint-unsanitized-release",
+    "taint-error-envelope", "lockset-unguarded-access", "lockset-order-cycle",
+]
+assert summary["rules_run"] == expected_rules, (
+    f"lint rule suite drifted: ran {summary['rules_run']}, "
+    f"expected {expected_rules}"
+)
 for finding in report["findings"]:
     print(f"LINT: {finding['path']}:{finding['line']}:{finding['col']}: "
           f"{finding['rule']} {finding['severity']}: {finding['message']}")

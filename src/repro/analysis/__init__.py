@@ -1,27 +1,28 @@
 """``repro.analysis`` — the repro-lint static-analysis framework.
 
-A stdlib-``ast`` checker for this codebase's DP and serving invariants
-(charge-before-release, integer-grid epsilon arithmetic, explicit RNG
-streams, trace-key hygiene, monotonic deadlines, locked ledger mutation,
-in-hook journal durability, copy-on-write cached envelopes).  Run it with
+One rule suite for this codebase's DP and serving invariants: syntactic
+rules (charge-before-release, integer-grid epsilon arithmetic, explicit RNG
+streams, trace-key hygiene, monotonic deadlines, in-hook journal
+durability, copy-on-write cached envelopes) and interprocedural ones
+(privacy taint from raw counts to output channels, lockset discipline for
+shared state, including the accountant's ledger).  Run it with
 ``python -m repro lint [paths] [--format=text|json] [--rule=NAME]``; it is
 wired into ``scripts/ci.sh`` as a hard gate.
 
 Public surface: :func:`lint_paths` / :class:`Linter` to run,
-:class:`Finding` / :class:`LintResult` to consume results, ``ALL_RULES`` /
-``RULE_NAMES`` for the shipping rule suite, and the suppression helpers
+:class:`Finding` / :class:`LintResult` to consume results, ``RULES`` /
+``RULE_NAMES`` for the rule suite, and the suppression helpers
 (:func:`parse_suppression_comment`, :func:`render_suppression`).
 """
 
 from .engine import (
-    ENGINES,
     FRAMEWORK_RULES,
     Linter,
+    RULES,
+    RULE_NAMES,
     format_json,
     format_text,
-    known_rule_names,
     lint_paths,
-    rules_for_engine,
 )
 from .loader import (
     Module,
@@ -45,11 +46,9 @@ from .model import (
     render_trace,
     sort_findings,
 )
-from .rules import ALL_RULES, LintContext, RULE_NAMES, Rule
+from .rules import LintContext, Rule
 
 __all__ = [
-    "ALL_RULES",
-    "ENGINES",
     "FRAMEWORK_RULES",
     "Finding",
     "JSON_SCHEMA_VERSION",
@@ -57,6 +56,7 @@ __all__ = [
     "LintResult",
     "Linter",
     "Module",
+    "RULES",
     "RULE_NAMES",
     "RULE_NAME_RE",
     "Rule",
@@ -68,7 +68,6 @@ __all__ = [
     "format_json",
     "format_text",
     "iter_python_files",
-    "known_rule_names",
     "lint_paths",
     "load_module",
     "parse_suppression_comment",
@@ -76,6 +75,5 @@ __all__ = [
     "parse_trace",
     "render_suppression",
     "render_trace",
-    "rules_for_engine",
     "sort_findings",
 ]

@@ -24,76 +24,66 @@ import json
 from dataclasses import dataclass, field
 
 from .callgraph import build_callgraph
+from .flow import (
+    LocksetOrderCycleRule,
+    LocksetUnguardedAccessRule,
+    TaintErrorEnvelopeRule,
+    TaintUnsanitizedReleaseRule,
+)
 from .loader import Module, iter_python_files, load_module
 from .model import Finding, LintResult, SEVERITY_ERROR, SuppressedFinding, sort_findings
-from .rules import ALL_RULES, LintContext, Rule
+from .rules import (
+    CachedEnvelopeMutationRule,
+    ChargeBeforeReleaseRule,
+    FloatEpsilonArithmeticRule,
+    FsyncInHookRule,
+    GlobalRngRule,
+    LintContext,
+    MonotonicDeadlinesRule,
+    Rule,
+    TraceKeyHygieneRule,
+)
 
 #: Rules emitted by the framework itself (not suppressible, always known).
 FRAMEWORK_RULES = ("parse-error", "bad-suppression")
 
-#: Selectable rule suites.  ``flow`` is imported lazily so a plain AST run
-#: never pays for (or depends on) the dataflow engine.
-ENGINES = ("ast", "flow", "all")
+#: The rule suite every run executes, in catalogue order: the syntactic
+#: rules of ``rules.py``, then the taint and lockset passes of ``flow/``.
+RULES: "tuple[Rule, ...]" = (
+    ChargeBeforeReleaseRule(),
+    FloatEpsilonArithmeticRule(),
+    GlobalRngRule(),
+    TraceKeyHygieneRule(),
+    MonotonicDeadlinesRule(),
+    FsyncInHookRule(),
+    CachedEnvelopeMutationRule(),
+    TaintUnsanitizedReleaseRule(),
+    TaintErrorEnvelopeRule(),
+    LocksetUnguardedAccessRule(),
+    LocksetOrderCycleRule(),
+)
 
-
-def _flow_rules() -> "tuple[Rule, ...]":
-    from .flow import FLOW_RULES
-
-    return FLOW_RULES
-
-
-def rules_for_engine(engine: str) -> "tuple[Rule, ...]":
-    if engine == "ast":
-        return ALL_RULES
-    if engine == "flow":
-        return _flow_rules()
-    if engine == "all":
-        return ALL_RULES + _flow_rules()
-    raise ValueError(
-        f"unknown engine {engine!r} — available: {', '.join(ENGINES)}"
-    )
-
-
-def known_rule_names() -> "set[str]":
-    """Every rule name either engine can emit, plus the framework's own.
-
-    Suppression validation uses this cross-suite set regardless of which
-    engine is running: a file carrying ``disable=taint-error-envelope`` for
-    the flow gate must not be flagged as naming an unknown rule when the
-    AST engine lints the same tree.
-    """
-    return (
-        {r.name for r in ALL_RULES}
-        | {r.name for r in _flow_rules()}
-        | set(FRAMEWORK_RULES)
-    )
+RULE_NAMES: "tuple[str, ...]" = tuple(rule.name for rule in RULES)
 
 
 @dataclass
 class Linter:
-    """A configured lint run: an engine's rule suite plus a name filter."""
+    """A configured lint run: the rule suite plus a name filter."""
 
-    rules: "tuple[Rule, ...] | None" = None
     only: "tuple[str, ...] | None" = None  # --rule filter (None = all)
-    engine: str = "ast"
     _selected: "tuple[Rule, ...]" = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rules is None:
-            self.rules = rules_for_engine(self.engine)
-        known = {r.name for r in self.rules}
         if self.only is not None:
-            unknown = [name for name in self.only if name not in known]
+            unknown = [name for name in self.only if name not in RULE_NAMES]
             if unknown:
                 raise ValueError(
                     f"unknown rule(s) {', '.join(sorted(unknown))!s} — "
-                    f"available: {', '.join(sorted(known))}"
+                    f"available: {', '.join(sorted(RULE_NAMES))}"
                 )
-            self._selected = tuple(
-                r for r in self.rules if r.name in set(self.only)
-            )
+            self._selected = tuple(r for r in RULES if r.name in self.only)
         else:
-            self._selected = self.rules
+            self._selected = RULES
 
     # ------------------------------------------------------------------ #
 
@@ -109,7 +99,9 @@ class Linter:
             modules.append(module)
 
         ctx = LintContext(modules=modules, callgraph=build_callgraph(modules))
-        known_rules = known_rule_names()
+        # Suppressions are checked against the whole suite, whatever
+        # ``--rule`` selected.
+        known_rules = set(RULE_NAMES) | set(FRAMEWORK_RULES)
         suppressed: list[SuppressedFinding] = []
 
         for module in modules:
@@ -155,12 +147,10 @@ class Linter:
 
 
 def lint_paths(
-    paths: "list[str]",
-    only: "tuple[str, ...] | None" = None,
-    engine: str = "ast",
+    paths: "list[str]", only: "tuple[str, ...] | None" = None
 ) -> LintResult:
-    """Run the selected engine's (optionally filtered) suite over ``paths``."""
-    return Linter(only=only, engine=engine).run(paths)
+    """Run the (optionally filtered) rule suite over ``paths``."""
+    return Linter(only=only).run(paths)
 
 
 # --------------------------------------------------------------------------- #
@@ -181,5 +171,5 @@ def format_text(result: LintResult) -> str:
 
 
 def format_json(result: LintResult) -> str:
-    """The stable schema-v1 JSON report (see ``model.py`` for the contract)."""
+    """The stable schema-v2 JSON report (see ``model.py`` for the contract)."""
     return json.dumps(result.report(), indent=2, sort_keys=False)

@@ -1,4 +1,4 @@
-"""``repro.analysis.flow`` — the interprocedural flow engine (``--engine=flow``).
+"""``repro.analysis.flow`` — the interprocedural taint and lockset rules.
 
 Two rule families on one fixpoint dataflow substrate:
 
@@ -15,11 +15,13 @@ Two rule families on one fixpoint dataflow substrate:
   mutable attributes in classes that own locks, verifies the
   caller-holds-lock helper idiom by fixpoint, and reports accesses outside
   the inferred lockset (``lockset-unguarded-access``) plus inconsistent
-  lock-acquisition orders (``lockset-order-cycle``).
+  lock-acquisition orders (``lockset-order-cycle``).  Ledger state of
+  ``*Accountant*`` classes is declared lock-guarded even before any locked
+  access exists.
 
-The rules plug into the same :class:`~repro.analysis.engine.Linter`
-framework as the AST engine: same Finding/suppression model, same report
-schema, same CLI.
+The rules run in the one suite of :class:`~repro.analysis.engine.Linter`,
+beside the syntactic rules of ``rules.py``: same Finding/suppression model,
+same report schema, same CLI.
 """
 
 from .dataflow import FlowAnalysis, FunctionSummary, Taint, TaintConfig, fixpoint
@@ -30,19 +32,7 @@ from .taint import (
     load_taint_config,
 )
 
-#: The flow-engine rule suite, in catalogue order.
-FLOW_RULES = (
-    TaintUnsanitizedReleaseRule(),
-    TaintErrorEnvelopeRule(),
-    LocksetUnguardedAccessRule(),
-    LocksetOrderCycleRule(),
-)
-
-FLOW_RULE_NAMES = tuple(rule.name for rule in FLOW_RULES)
-
 __all__ = [
-    "FLOW_RULES",
-    "FLOW_RULE_NAMES",
     "FlowAnalysis",
     "FunctionSummary",
     "LocksetOrderCycleRule",

@@ -8,7 +8,9 @@ Condition, ...).  For each such class:
   ``with self.<lock>:`` scope is *lock-associated*; every write to it
   outside any lock scope (and outside ``__init__``, where the object is
   not yet shared) is a ``lockset-unguarded-access`` finding.  Attributes
-  never accessed under a lock are treated as thread-confined and skipped.
+  never accessed under a lock are treated as thread-confined and skipped,
+  except the ledger state of ``*Accountant*`` classes (``_charges``,
+  ``_tokens``, ``_spent_units``, ...), which is *declared* lock-guarded.
 * **caller-holds-lock helpers** — a private method whose every intra-class
   call site holds a lock (or is itself such a helper, or ``__init__``) is
   *verified* by fixpoint iteration; accesses inside it count as locked.
@@ -21,7 +23,8 @@ Condition, ...).  For each such class:
   two threads taking the locks in opposite orders deadlock.
 
 Findings carry a two-hop v2 trace: the locked access that established the
-guarded-by relation, then the offending access.
+guarded-by relation (or the class, for a declared guard), then the
+offending access.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ _LOCK_FACTORIES = {
     "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
 }
 _LOCK_NAME_RE = re.compile(r"lock|_cv$|condition", re.IGNORECASE)
+
+#: Ledger state of ``*Accountant*`` classes: guarded by declaration, so an
+#: unlocked write is a finding even where no locked access exists to infer
+#: the guard from (the atomic check-and-charge contract).
+_LEDGER_ATTR_RE = re.compile(
+    r"^_(charges|tokens|spent_units|next_token|limit|limit_units|observer)$"
+)
 
 #: Container methods that mutate their receiver.
 _MUTATING_METHODS = {
@@ -297,13 +307,28 @@ class LocksetUnguardedAccessRule(Rule):
     def check(self, module: Module, ctx: LintContext) -> "list[Finding]":
         findings: list[Finding] = []
         for facts in _class_facts(module, ctx):
-            guarded: "dict[str, tuple[str, int]]" = {}
+            # attr -> (lock, line, trace note) of the guarded-by relation
+            guarded: "dict[str, tuple[str, int, str]]" = {}
             for acc in facts.accesses:
                 if acc.locks and acc.attr not in guarded:
+                    lock = sorted(acc.locks)[0]
                     guarded[acc.attr] = (
-                        sorted(acc.locks)[0],
+                        lock,
                         getattr(acc.node, "lineno", 1),
+                        f"guarded-by inferred: {acc.attr} accessed under "
+                        f"self.{lock}",
                     )
+            if "Accountant" in facts.name:
+                lock = min(facts.lock_attrs)
+                for acc in facts.accesses:
+                    if acc.attr not in guarded and \
+                            _LEDGER_ATTR_RE.match(acc.attr):
+                        guarded[acc.attr] = (
+                            lock,
+                            facts.node.lineno,
+                            f"guarded-by declared: {acc.attr} is ledger "
+                            f"state of {facts.name}, guarded by self.{lock}",
+                        )
             for acc in facts.accesses:
                 if not acc.is_write or acc.locks:
                     continue
@@ -313,30 +338,26 @@ class LocksetUnguardedAccessRule(Rule):
                 guard = guarded.get(acc.attr)
                 if guard is None:
                     continue  # never locked anywhere: thread-confined
-                lock, locked_line = guard
+                lock, guard_line, guard_note = guard
+                line = getattr(acc.node, "lineno", 1)
                 findings.append(
                     Finding(
                         path=module.path,
-                        line=getattr(acc.node, "lineno", 1),
+                        line=line,
                         col=getattr(acc.node, "col_offset", 0),
                         rule=self.name,
                         message=(
                             f"{facts.name}.{acc.attr} is written in "
                             f"{acc.method} with no lock held, but is "
-                            f"guarded by self.{lock} elsewhere (line "
-                            f"{locked_line}) — take the lock or route "
-                            "through a verified caller-holds-lock helper"
+                            f"guarded by self.{lock} (line {guard_line}) — "
+                            "take the lock or route through a verified "
+                            "caller-holds-lock helper"
                         ),
                         severity=self.severity,
                         trace=(
+                            TraceHop(module.path, guard_line, guard_note),
                             TraceHop(
-                                module.path, locked_line,
-                                f"guarded-by inferred: {acc.attr} accessed "
-                                f"under self.{lock}",
-                            ),
-                            TraceHop(
-                                module.path,
-                                getattr(acc.node, "lineno", 1),
+                                module.path, line,
                                 f"unguarded write in {acc.method}",
                             ),
                         ),

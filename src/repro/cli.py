@@ -185,9 +185,10 @@ def _run_lint(argv: Sequence[str]) -> int:
         description=(
             "Statically check the codebase's DP and serving invariants "
             "(charge-before-release, integer-grid epsilon arithmetic, "
-            "explicit RNG streams, ...).  Exit 0 when no findings, 1 "
-            "otherwise.  See ARCHITECTURE.md 'Static analysis' for the "
-            "rule catalog and the suppression policy."
+            "explicit RNG streams, privacy taint, lock discipline, ...).  "
+            "Exit 0 when no findings, 1 otherwise.  See ARCHITECTURE.md "
+            "'Static analysis' for the rule catalog and the suppression "
+            "policy."
         ),
     )
     parser.add_argument("paths", nargs="*", default=["src"],
@@ -198,11 +199,6 @@ def _run_lint(argv: Sequence[str]) -> int:
     parser.add_argument("--rule", action="append", default=None,
                         metavar="NAME",
                         help="run only this rule (repeatable)")
-    parser.add_argument("--engine", choices=("ast", "flow", "all"),
-                        default="ast",
-                        help="rule suite: 'ast' (syntactic invariants), "
-                             "'flow' (interprocedural taint + lockset), "
-                             "or 'all' (default: ast)")
     parser.add_argument("--diff", metavar="BASE_REF", default=None,
                         help="lint only files changed vs BASE_REF plus "
                              "their call-graph dependents (falls back to "
@@ -224,7 +220,6 @@ def _run_lint(argv: Sequence[str]) -> int:
         result = lint_paths(
             paths,
             only=tuple(args.rule) if args.rule else None,
-            engine=args.engine,
         )
     except (ValueError, FileNotFoundError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)

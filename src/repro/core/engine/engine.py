@@ -333,7 +333,7 @@ class ScoringEngine:
         return tensor
 
 
-_ENGINES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_ENGINE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def scoring_engine(counts) -> ScoringEngine:
@@ -344,13 +344,13 @@ def scoring_engine(counts) -> ScoringEngine:
     of cached score matrices, and the cache dies with the provider.
     """
     try:
-        engine = _ENGINES.get(counts)
+        engine = _ENGINE_CACHE.get(counts)
     except TypeError:  # unhashable/unweakrefable provider: no memoisation
         return ScoringEngine(counts)
     if engine is None:
         engine = ScoringEngine(counts)
         try:
-            _ENGINES[counts] = engine
+            _ENGINE_CACHE[counts] = engine
         except TypeError:
             pass
     return engine

@@ -307,6 +307,8 @@ class ShardedService:
                 pass
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._loop_thread.join(timeout=5.0)
+            if not self._loop_thread.is_alive():
+                self._loop.close()
             self._loop_thread = None
         self.supervisor.stop()
 

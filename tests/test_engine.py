@@ -153,7 +153,7 @@ class TestCountsStack:
         import gc
         import weakref
 
-        from repro.core.engine.engine import _ENGINES
+        from repro.core.engine.engine import _ENGINE_CACHE
 
         counts = all_providers()[0]
         scoring_engine(counts).interestingness_matrix()
@@ -161,7 +161,7 @@ class TestCountsStack:
         del counts
         gc.collect()
         assert ref() is None
-        assert not any(k is ref() for k in list(_ENGINES))
+        assert not any(k is ref() for k in list(_ENGINE_CACHE))
 
     def test_subset_stack_falls_back_to_cluster_calls(self):
         counts = all_providers()[0]

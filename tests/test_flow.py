@@ -4,7 +4,8 @@ Covers: per-rule fire/no-fire fixture pairs, the extended call-graph
 resolution (``Class.method``, ``super().method``, ``pkg.mod.fn``), flow
 traces in the v2 JSON schema (hypothesis round-trip + v1-consumer
 compatibility), SARIF 2.1.0 emission, ``--diff`` scoping, suppression
-interplay across engines, and the whole-repo flow-clean gate.
+interplay between the syntactic and flow rules, and the whole-repo
+flow-clean gate.
 """
 
 import ast
@@ -17,20 +18,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis import (
+    FRAMEWORK_RULES,
     JSON_SCHEMA_VERSION,
     Linter,
+    RULES,
+    RULE_NAMES,
     TraceHop,
     format_json,
     format_text,
-    known_rule_names,
     lint_paths,
     parse_trace,
     render_trace,
-    rules_for_engine,
 )
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.diff import select_diff_paths
-from repro.analysis.flow import FLOW_RULE_NAMES
 from repro.analysis.loader import iter_python_files, load_module
 from repro.analysis.sarif import to_sarif
 
@@ -41,10 +42,6 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 
 def fixture(name: str) -> str:
     return os.path.join(FIXTURES, name)
-
-
-def flow_lint(paths, **kw):
-    return lint_paths(paths, engine="flow", **kw)
 
 
 def rules_fired(result) -> "set[str]":
@@ -60,6 +57,9 @@ FIRE_CASES = [
     ("taint_error_envelope_bad.py", "taint-error-envelope", 2),
     ("lockset_unguarded_access_bad.py", "lockset-unguarded-access", 1),
     ("lockset_order_cycle_bad.py", "lockset-order-cycle", 2),
+    # Accountant ledger state is declared lock-guarded: no locked access
+    # is needed to infer the guard.
+    ("locked_ledger_mutation_bad.py", "lockset-unguarded-access", 2),
 ]
 
 NO_FIRE_CASES = [
@@ -67,30 +67,34 @@ NO_FIRE_CASES = [
     "taint_error_envelope_ok.py",
     "lockset_unguarded_access_ok.py",
     "lockset_order_cycle_ok.py",
+    "locked_ledger_mutation_ok.py",
 ]
 
 
 class TestFlowFixtures:
     @pytest.mark.parametrize("name,rule,min_count", FIRE_CASES)
     def test_bad_fixture_fires(self, name, rule, min_count):
-        result = flow_lint([fixture(name)])
+        result = lint_paths([fixture(name)])
         fired = [f for f in result.findings if f.rule == rule]
         assert len(fired) >= min_count, format_text(result)
         assert rules_fired(result) == {rule}  # and nothing else
 
     @pytest.mark.parametrize("name", NO_FIRE_CASES)
     def test_good_fixture_is_clean(self, name):
-        result = flow_lint([fixture(name)])
+        result = lint_paths([fixture(name)])
         assert result.ok, format_text(result)
         assert not result.suppressed
 
     def test_every_flow_rule_has_a_firing_fixture(self):
         covered = {rule for _, rule, _ in FIRE_CASES}
-        assert covered == set(FLOW_RULE_NAMES)
+        assert covered == {
+            r.name for r in RULES
+            if type(r).__module__.startswith("repro.analysis.flow")
+        }
 
     def test_envelope_leak_trace_runs_source_to_sink(self):
         """The acceptance fixture: raw count -> error envelope, with trace."""
-        result = flow_lint([fixture("taint_unsanitized_release_bad.py")])
+        result = lint_paths([fixture("taint_unsanitized_release_bad.py")])
         traced = [f for f in result.findings if f.trace]
         assert traced, format_text(result)
         for f in traced:
@@ -102,7 +106,7 @@ class TestFlowFixtures:
     def test_interprocedural_finding_lands_at_the_caller(self):
         """`release_total` feeds raw counts to `_wrap`, which builds the
         envelope — the finding is at the call that supplied tainted data."""
-        result = flow_lint([fixture("taint_unsanitized_release_bad.py")])
+        result = lint_paths([fixture("taint_unsanitized_release_bad.py")])
         hops = [
             hop
             for f in result.findings
@@ -112,10 +116,47 @@ class TestFlowFixtures:
         assert hops, format_text(result)
 
     def test_unguarded_inflight_names_the_guard(self):
-        result = flow_lint([fixture("lockset_unguarded_access_bad.py")])
+        result = lint_paths([fixture("lockset_unguarded_access_bad.py")])
         (f,) = result.findings
         assert "_inflight" in f.message and "self._lock" in f.message
         assert f.trace and "guarded-by inferred" in f.trace[0].note
+
+    def test_accountant_ledger_guard_is_declared(self):
+        """The fixture never takes its lock, so nothing is inferred; the
+        ledger attributes are guarded by declaration."""
+        result = lint_paths([fixture("locked_ledger_mutation_bad.py")])
+        assert [(f.line, f.rule) for f in result.findings] == [
+            (13, "lockset-unguarded-access"),
+            (14, "lockset-unguarded-access"),
+        ], format_text(result)
+        for f in result.findings:
+            assert "guarded-by declared" in f.trace[0].note
+            assert "self._lock" in f.message
+
+    def test_unlocked_write_in_the_real_accountant_is_caught(self, tmp_path):
+        """Two unlocked ledger writes added to PrivacyAccountant.spend."""
+        with open(os.path.join(SRC, "repro", "privacy", "budget.py")) as fh:
+            source = fh.read()
+        charge = (
+            "        with self._lock:\n"
+            "            self._admit(units, what)\n"
+            "            return self._append("
+            "Charge(label, eps, \"sequential\", units))\n"
+        )
+        assert source.count(charge) == 1
+        racy = ("        self._spent_units += 0\n",
+                "        self._charges.append(None)\n")
+        mutated = source.replace(charge, "".join(racy) + charge)
+        path = tmp_path / "privacy" / "budget.py"
+        path.parent.mkdir()
+        path.write_text(mutated)
+        lines = mutated.splitlines(keepends=True)
+        expected = [i + 1 for i, line in enumerate(lines) if line in racy]
+        result = lint_paths([str(path)])
+        assert [(f.line, f.rule) for f in result.findings] == [
+            (line, "lockset-unguarded-access") for line in expected
+        ], format_text(result)
+        assert all(f.trace for f in result.findings)
 
 
 # --------------------------------------------------------------------------- #
@@ -287,7 +328,7 @@ class TestTraceRoundTrip:
 
 class TestSchemaV2:
     def test_findings_carry_trace_hops(self):
-        result = flow_lint([fixture("taint_error_envelope_bad.py")])
+        result = lint_paths([fixture("taint_error_envelope_bad.py")])
         report = json.loads(format_json(result))
         assert report["version"] == JSON_SCHEMA_VERSION == 2
         traced = [e for e in report["findings"] if e["trace"]]
@@ -298,7 +339,7 @@ class TestSchemaV2:
                 assert isinstance(hop["line"], int)
 
     def test_text_rendering_includes_the_trace(self):
-        result = flow_lint([fixture("taint_error_envelope_bad.py")])
+        result = lint_paths([fixture("taint_error_envelope_bad.py")])
         text = format_text(result)
         assert "trace:" in text and " -> " in text
 
@@ -306,7 +347,7 @@ class TestSchemaV2:
         """A consumer written against schema v1 (the old CI gate) keeps
         working on a v2 report: every v1 field is present and typed the
         same; the additive ``trace`` field is ignorable."""
-        result = flow_lint([fixture("taint_unsanitized_release_bad.py")])
+        result = lint_paths([fixture("taint_unsanitized_release_bad.py")])
         report = json.loads(format_json(result))
 
         def v1_consumer(rep):
@@ -327,6 +368,7 @@ class TestSchemaV2:
         assert v1_consumer(report) == len(result.findings) > 0
 
     def test_ast_engine_findings_have_empty_traces(self):
+        """The syntactic rules report locations, not flows."""
         result = lint_paths([fixture("monotonic_deadlines_bad.py")])
         report = json.loads(format_json(result))
         assert report["findings"]
@@ -339,7 +381,7 @@ class TestSchemaV2:
 
 class TestSarif:
     def test_minimal_valid_shape(self):
-        result = flow_lint([fixture("taint_unsanitized_release_bad.py")])
+        result = lint_paths([fixture("taint_unsanitized_release_bad.py")])
         doc = to_sarif(result)
         assert doc["version"] == "2.1.0"
         assert doc["$schema"].endswith("sarif-schema-2.1.0.json")
@@ -357,7 +399,7 @@ class TestSarif:
             assert loc["region"]["startColumn"] >= 1
 
     def test_flow_trace_becomes_a_code_flow(self):
-        result = flow_lint([fixture("taint_error_envelope_bad.py")])
+        result = lint_paths([fixture("taint_error_envelope_bad.py")])
         doc = to_sarif(result)
         flows = [
             r["codeFlows"] for r in doc["runs"][0]["results"] if "codeFlows" in r
@@ -387,7 +429,7 @@ class TestSarif:
             [
                 sys.executable, "-m", "repro", "lint",
                 fixture("lockset_unguarded_access_bad.py"),
-                "--engine=flow", "--format=json", f"--sarif={out}",
+                "--format=json", f"--sarif={out}",
             ],
             capture_output=True,
             text=True,
@@ -462,7 +504,7 @@ class TestDiffScoping:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro", "lint", str(tmp_path),
-                "--diff", "HEAD", "--engine=flow",
+                "--diff", "HEAD",
             ],
             capture_output=True,
             text=True,
@@ -474,19 +516,27 @@ class TestDiffScoping:
 
 
 # --------------------------------------------------------------------------- #
-# suppression interplay across engines (satellite 4)
+# suppression interplay between the syntactic and flow rules
 # --------------------------------------------------------------------------- #
 
+AST_ONLY = ("monotonic-deadlines",)
+FLOW_ONLY = ("taint-unsanitized-release", "taint-error-envelope")
+
+
 class TestSuppressionInterplay:
+    """Suppressions are validated against the whole suite, whatever
+    ``--rule`` narrows the run to."""
+
     def test_flow_rule_suppression_is_known_to_the_ast_engine(self, tmp_path):
         f = tmp_path / "mod.py"
         f.write_text(
-            "# repro-lint: disable=taint-unsanitized-release — flow-gate "
-            "suppression must not trip the ast engine\n"
+            "# repro-lint: disable=taint-unsanitized-release — flow-rule "
+            "suppression must not trip a run of the syntactic rules\n"
             "VALUE = 1\n"
         )
-        result = lint_paths([str(f)])  # default: ast engine
-        assert result.ok, format_text(result)
+        for only in (None, AST_ONLY):
+            result = lint_paths([str(f)], only=only)
+            assert result.ok, format_text(result)
 
     def test_ast_rule_suppression_is_known_to_the_flow_engine(self, tmp_path):
         f = tmp_path / "mod.py"
@@ -494,8 +544,9 @@ class TestSuppressionInterplay:
             "# repro-lint: disable=monotonic-deadlines — display-only stamp\n"
             "VALUE = 1\n"
         )
-        result = flow_lint([str(f)])
-        assert result.ok, format_text(result)
+        for only in (None, FLOW_ONLY):
+            result = lint_paths([str(f)], only=only)
+            assert result.ok, format_text(result)
 
     def test_unknown_rule_is_flagged_by_both_engines(self, tmp_path):
         f = tmp_path / "mod.py"
@@ -503,10 +554,10 @@ class TestSuppressionInterplay:
             "# repro-lint: disable=lockset-unguarded-acces — typo\n"
             "VALUE = 1\n"
         )
-        for engine in ("ast", "flow"):
-            result = lint_paths([str(f)], engine=engine)
+        for only in (None, AST_ONLY, FLOW_ONLY):
+            result = lint_paths([str(f)], only=only)
             bad = [x for x in result.findings if x.rule == "bad-suppression"]
-            assert len(bad) == 1, engine
+            assert len(bad) == 1, only
             assert "lockset-unguarded-acces" in bad[0].message
 
     def test_multi_rule_disable_covers_both_flow_rules(self, tmp_path):
@@ -521,40 +572,57 @@ class TestSuppressionInterplay:
             "taint-error-envelope — test: one comment silences both rules\n"
             "    return {\"status\": \"error\", \"result\": raw}\n"
         )
-        result = flow_lint([str(f)])
+        result = lint_paths([str(f)])
         assert result.ok, format_text(result)
         rules = {s.finding.rule for s in result.suppressed}
         assert rules == {
             "taint-unsanitized-release", "taint-error-envelope",
         }
 
-    def test_known_rules_spans_both_suites(self):
-        names = known_rule_names()
-        assert set(FLOW_RULE_NAMES) <= names
-        assert "charge-before-release" in names
-        assert "bad-suppression" in names
+    def test_known_rules_spans_both_suites(self, tmp_path):
+        """A suppression may name any rule of either family, or one the
+        framework emits; none of them is an unknown-rule finding."""
+        assert "charge-before-release" in RULE_NAMES
+        assert "lockset-unguarded-access" in RULE_NAMES
+        f = tmp_path / "mod.py"
+        f.write_text(
+            f"# repro-lint: disable={','.join(RULE_NAMES + FRAMEWORK_RULES)}"
+            " — test: every known rule\n"
+            "VALUE = 1\n"
+        )
+        result = lint_paths([str(f)])
+        assert result.ok, format_text(result)
 
 
 # --------------------------------------------------------------------------- #
-# engine selection and the repo-wide gate
+# the one rule suite and the repo-wide gate
 # --------------------------------------------------------------------------- #
 
 class TestEngineSelection:
-    def test_rules_for_engine(self):
-        assert tuple(r.name for r in rules_for_engine("flow")) == FLOW_RULE_NAMES
-        all_names = {r.name for r in rules_for_engine("all")}
-        assert set(FLOW_RULE_NAMES) < all_names
-        with pytest.raises(ValueError, match="unknown engine"):
-            rules_for_engine("psychic")
+    def test_bare_run_is_the_whole_suite(self):
+        result = lint_paths([fixture("taint_error_envelope_ok.py")])
+        assert result.rules_run == RULE_NAMES
+        assert "lockset-order-cycle" in RULE_NAMES
+        assert "no-global-rng" in RULE_NAMES
 
-    def test_rule_filter_is_engine_scoped(self):
-        linter = Linter(engine="flow", only=("taint-error-envelope",))
+    def test_rule_filter_selects_a_flow_rule(self):
+        linter = Linter(only=("taint-error-envelope",))
         assert [r.name for r in linter._selected] == ["taint-error-envelope"]
-        with pytest.raises(ValueError, match="unknown rule"):
-            Linter(only=("taint-error-envelope",))  # not in the ast suite
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "lint",
+                fixture("taint_error_envelope_bad.py"),
+                "--rule=taint-error-envelope",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "2 finding(s)" in proc.stdout
 
     def test_whole_repo_is_flow_clean(self):
-        result = flow_lint([SRC])
+        result = lint_paths([SRC])
         assert result.ok, format_text(result)
         for sup in result.suppressed:
             assert sup.reason.strip()
@@ -563,12 +631,17 @@ class TestEngineSelection:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro", "lint",
-                fixture("taint_error_envelope_bad.py"), "--engine=flow",
+                fixture("taint_error_envelope_bad.py"),
             ],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": SRC},
         )
-        assert proc.returncode == 1
-        assert "taint-error-envelope" in proc.stdout
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        findings = [
+            line for line in proc.stdout.splitlines()
+            if ": taint-error-envelope error:" in line
+        ]
+        assert len(findings) == 2, proc.stdout
+        assert "2 finding(s)" in proc.stdout
         assert "trace:" in proc.stdout

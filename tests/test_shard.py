@@ -374,6 +374,15 @@ class TestFrontEnd:
             sum(e["meta"]["charged_epsilon"] for e in envelopes)
         )
 
+    def test_stop_closes_the_event_loop(self):
+        service = ShardedService(1, auto_tenant_budget=8.0)
+        service.start()
+        assert not service._loop.is_closed()
+        service.stop()
+        assert service._loop.is_closed()
+        service.stop()  # a second stop is a no-op
+        assert service._loop.is_closed()
+
 
 # --------------------------------------------------------------------------- #
 # failover
